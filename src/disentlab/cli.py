@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 import click
 
@@ -60,6 +61,18 @@ def _load_world_arg(value: str):
         raise click.UsageError(f"world file {value!r} not found")
     except WorldError as exc:
         raise click.UsageError(f"invalid world file {value!r}: {exc}")
+
+
+def _read_model_perm(path: str) -> list:
+    """The 'perm' array of a model file; a malformed file is a usage error."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise click.UsageError(f"model file {path!r} is not valid JSON: {exc}")
+    perm = doc.get("perm") if isinstance(doc, dict) else None
+    if not isinstance(perm, list) or not all(type(v) is int for v in perm):
+        raise click.UsageError(f"model file {path!r} needs a 'perm' array of integers")
+    return perm
 
 
 def _emit_records(records: list[dict], fmt: str):
@@ -208,7 +221,7 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
         if paired is not None and world_arg in NAMED_WORLDS and world_arg == "rotation":
             raise click.UsageError("the rotation world carries its own candidate")
         if model_file:
-            perm = json.load(open(model_file))["perm"]
+            perm = _read_model_perm(model_file)
         else:
             perm = [int(tok) for tok in bijection.split(",")]
         try:

@@ -1,23 +1,52 @@
-"""Desk-scale distribution matching by exhaustive bijection enumeration.
+"""Desk-scale distribution matching over all support bijections.
 
 The candidate family is every bijection of the world's support with the
 pushforward prior, which matches the observation distribution by
 construction.  A candidate is "matched" for a supervision spec when its
-exact augmented table equals the oracle's within tolerance; enumerating
-the whole family makes guarantee and impossibility claims checkable by
-inspection of the full matched set.
+exact augmented table equals the oracle's within tolerance; listing the
+whole matched set makes guarantee and impossibility claims checkable by
+inspection.
+
+The matched set is found by pruned backtracking, not by trying all m!
+bijections.  The bijection is assigned one latent support row at a time,
+targets in ascending order, and a partial assignment is dropped as soon
+as one row or pair of rows breaks a necessary condition of a table match:
+
+- restricted labeling: row r maps to row j only if both carry the same
+  I-label or p[j] <= tol;
+- rank pairing: the order bit of a latent pair equals the oracle's bit on
+  the target pair unless p[j] p[j2] <= tol;
+- match pairing: a latent pair in different I-groups needs an oracle
+  kernel entry <= tol, and a latent pair inside one I-group mapped across
+  oracle I-groups needs a massless target pair.  Whole I-groups of equal
+  size may trade places, so the I-projection need not be preserved.
+
+Each labeling and rank entry of the augmented table depends on one row or
+one pair, so there the conditions are the table comparison itself.  A
+match-pairing leaf is accepted by the exact sup-norm comparison with the
+oracle's kernel, computed with the same arithmetic as ``augmented_table``.
+The matched set is therefore the same, in the same order, as filtering
+``itertools.permutations`` through ``tables_match``.  The cap
+``MAX_ENUM_SUPPORT`` still applies to the support size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from typing import Iterator
 
-from .errors import SupportTooLarge
+import numpy as np
+
+from .errors import DisentlabError, SupportTooLarge
 from .indexset import IndexSet
 from .metrics import EvaluationTarget, holds, mig
 from .calculus import Fact
-from .supervision import MASS_TOL, SupervisionSpec, augmented_table, tables_match
+from .supervision import (
+    MASS_TOL,
+    RANK_PAIRING,
+    RESTRICTED_LABELING,
+    SupervisionSpec,
+)
 from .worlds import CandidateModel, DiscreteWorld
 
 MAX_ENUM_SUPPORT = 8  # 8! = 40320 bijections
@@ -31,6 +60,116 @@ def _as_spec_list(specs) -> list[SupervisionSpec]:
     return list(specs)
 
 
+def _match_kernel(q: np.ndarray, gid: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Dense match-pairing table over support rows with probabilities q:
+    entry (r, r2) is q[r] q[r2] / w for rows of one I-group of mass w, and
+    0 across groups.  ``bincount`` sums each group's mass in row order, as
+    ``augmented_table`` does, so the entries equal its dict's bit for bit."""
+    w = np.bincount(gid, weights=q)[gid]
+    return np.where(same, np.outer(q, q) / w[:, None], 0.0)
+
+
+def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float):
+    """Row masks, pair masks and the leaf check of the backtracking search.
+
+    ``row_masks[i]`` has bit j set when latent row i may map to oracle row
+    j.  ``into[k][i][j]`` has bit j2 set when latent rows (i, k), i < k, may
+    map to oracle rows (j, j2).  ``accept`` is None when the masks decide
+    the table match exactly, else the exact check of a complete bijection.
+    """
+    m = world.support_size
+    support = world.support
+    p = world.support_probs
+    pp = np.outer(p, p)
+    allowed = np.ones((m, m), dtype=bool)
+    ok = np.ones((m, m, m, m), dtype=bool)  # [i, k, j, j2]: (i, k) -> (j, j2)
+    kernels = []
+    for spec in specs:
+        kind, I = spec.validate_for(world)
+        cols = I.cols()
+        if kind == RANK_PAIRING:
+            z = support[:, cols[0]]
+            y = z[:, None] >= z[None, :]
+            ok &= (y[:, :, None, None] == y) | (pp <= tol)
+            continue
+        gid = np.unique(support[:, cols], axis=0, return_inverse=True)[1].reshape(-1)
+        same = gid[:, None] == gid[None, :]
+        if kind == RESTRICTED_LABELING:
+            allowed &= same | (p <= tol)
+            continue
+        # match pairing; a latent group's mass w is at most 1 up to
+        # rounding, so p[j] p[j2] / w <= tol needs p[j] p[j2] <= 2 tol
+        kernel = _match_kernel(p, gid, same)
+        ok &= np.where(same[:, :, None, None], same | (pp <= 2 * tol), kernel <= tol)
+        kernels.append((gid, same, kernel))
+
+    bits = np.array([1 << j for j in range(m)], dtype=object)  # no width limit on m
+    both = ok & ok.transpose(1, 0, 3, 2)
+    pair_masks = (both @ bits).transpose(1, 0, 2).tolist()  # [k][i][j]
+    into = [pair_masks[k][:k] for k in range(m)]
+    row_masks = (allowed @ bits).tolist()
+
+    if not kernels:
+        return row_masks, into, None
+
+    def accept(perm: list[int]) -> bool:
+        idx = np.array(perm)
+        q = p[idx]
+        return all(
+            np.abs(_match_kernel(q, gid, same) - kernel[idx[:, None], idx]).max() <= tol
+            for gid, same, kernel in kernels
+        )
+
+    return row_masks, into, accept
+
+
+def _search(m: int, row_masks, into, accept) -> Iterator[tuple[int, ...]]:
+    """Depth-first search over bijections in lexicographic order, which is
+    the order of ``itertools.permutations(range(m))``."""
+    perm = [0] * m
+    todo = [0] * m  # per depth: targets not yet tried
+    todo[0] = row_masks[0]
+    used = 0
+    d = 0
+    last = m - 1
+    while d >= 0:
+        options = todo[d]
+        if not options:
+            d -= 1
+            if d >= 0:
+                used ^= 1 << perm[d]
+            continue
+        low = options & -options
+        todo[d] = options ^ low
+        perm[d] = low.bit_length() - 1
+        if d == last:
+            if accept is None or accept(perm):
+                yield tuple(perm)
+            continue
+        used |= low
+        d += 1
+        mask = row_masks[d] & ~used
+        for i, masks in enumerate(into[d]):
+            mask &= masks[perm[i]]
+        todo[d] = mask
+
+
+def iter_matched(
+    world: DiscreteWorld,
+    specs=None,
+    tol: float = MASS_TOL,
+    max_support: int = MAX_ENUM_SUPPORT,
+) -> Iterator[CandidateModel]:
+    """Lazily yield the matched candidates in ``itertools.permutations``
+    order of their bijections.  The support cap and the specs are checked
+    at the call; a candidate model is built only once it is matched."""
+    m = world.support_size
+    if m > max_support:
+        raise SupportTooLarge(f"support {m} exceeds enumeration cap {max_support}")
+    masks = _constraints(world, _as_spec_list(specs), tol)
+    return (CandidateModel(world, perm) for perm in _search(m, *masks))
+
+
 def enumerate_matched(
     world: DiscreteWorld,
     specs=None,
@@ -42,20 +181,7 @@ def enumerate_matched(
     With an empty spec list only the observation distribution is matched,
     which every bijection satisfies by construction.
     """
-    m = world.support_size
-    if m > max_support:
-        raise SupportTooLarge(f"support {m} exceeds enumeration cap {max_support}")
-    specs = _as_spec_list(specs)
-    oracle_tables = [augmented_table(world, spec) for spec in specs]
-    matched = []
-    for perm in permutations(range(m)):
-        model = CandidateModel(world, perm)
-        if all(
-            tables_match(augmented_table(model, spec), ref, tol)
-            for spec, ref in zip(specs, oracle_tables)
-        ):
-            matched.append(model)
-    return matched
+    return list(iter_matched(world, specs, tol, max_support))
 
 
 @dataclass(frozen=True)
@@ -105,8 +231,9 @@ def find_violating_model(
     target: Fact,
     max_support: int = MAX_ENUM_SUPPORT,
 ) -> CandidateModel | None:
-    """First matched candidate violating the target fact, if any exists."""
-    for model in enumerate_matched(world, specs, max_support=max_support):
+    """First matched candidate violating the target fact, if any exists;
+    the search stops there."""
+    for model in iter_matched(world, specs, max_support=max_support):
         if not holds(EvaluationTarget.generator_based(model), target):
             return model
     return None
@@ -123,7 +250,7 @@ def check_informativeness(world: DiscreteWorld, model) -> bool:
             x2 = model.apply_gen(z)
             if world.encode(x2) != s:
                 return False
-        except Exception:
+        except DisentlabError:
             return False
     return True
 

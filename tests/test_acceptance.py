@@ -126,7 +126,7 @@ def test_criterion_4_calculus_soundness_sweep():
 
 
 def test_criterion_5_theorem_guarantee_universality():
-    c = Criterion(5, "every matched candidate satisfies the guaranteed fact", 300)
+    c = Criterion(5, "every matched candidate satisfies the guaranteed fact", 8)
     cases = 0
     matched_total = 0
     bad = []
@@ -167,7 +167,7 @@ def test_criterion_6_impossibility():
 
 
 def test_criterion_7_full_disentanglement_vs_unsupervised():
-    c = Criterion(7, "complete share pairing forces a perfect information gap", 60)
+    c = Criterion(7, "complete share pairing forces a perfect information gap", 0.25)
     checked = 0
     ok = True
     for world in theorem_battery(support_max=6, seed=13):
@@ -212,7 +212,7 @@ def test_criterion_8_mc_agrees_with_exact():
 
 
 def test_criterion_9_nuisance_rule():
-    c = Criterion(9, "eta-consistency on all factors yields eta-disentanglement", 120)
+    c = Criterion(9, "eta-consistency on all factors yields eta-disentanglement", 0.3)
     closure_ok = True
     for n in range(1, 5):
         fs = nuisance_closure(

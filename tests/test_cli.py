@@ -128,6 +128,28 @@ def test_score_degenerate_reported_not_fatal(runner, tmp_path):
     assert rec["degenerate"] is True and rec["score"] is None
 
 
+def test_score_model_file(runner, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"perm": [0, 1, 3, 2]}))
+    res = invoke(runner, "score", "--world", "consistent-not-restrictive", "--model-file",
+                 str(model), "--set", "1", "--format", "json")
+    assert res.exit_code == 0
+    recs = {r["kind"]: r for r in map(json.loads, res.output.splitlines())}
+    assert recs["consistency"]["score"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "text", ['{"perm": [0, 1', '{"bijection": [0, 1, 2, 3]}', '[0, 1, 2, 3]', '{"perm": ["a"]}']
+)
+def test_score_malformed_model_file_exits_two(runner, tmp_path, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    res = invoke(runner, "score", "--world", "consistent-not-restrictive", "--model-file",
+                 str(model))
+    assert res.exit_code == 2
+    assert "model file" in res.output and "Traceback" not in res.output
+
+
 def test_score_csv_format(runner):
     res = invoke(runner, "score", "--world", "consistent-not-restrictive", "--set", "1",
                  "--format", "csv")

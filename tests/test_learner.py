@@ -1,24 +1,95 @@
+from itertools import permutations
+
+import numpy as np
 import pytest
 
 from disentlab import (
     CandidateModel,
+    DiscreteWorld,
     EvaluationTarget,
     Fact,
     IndexSet,
     SupervisionSpec,
+    augmented_table,
     check_informativeness,
     enumerate_matched,
     find_violating_model,
     holds,
     matched_report,
+    tables_match,
     uniform_world,
     verify_guarantee,
 )
+from disentlab import learner
 from disentlab.errors import SupportTooLarge
+from disentlab.verify import battery_specs, theorem_battery
 
 
 def spec(kind, *indices):
     return SupervisionSpec(kind, tuple(indices))
+
+
+def brute_matched(world, specs):
+    """Reference enumerator: every bijection whose tables match the oracle's."""
+    refs = [augmented_table(world, s) for s in specs]
+    return [
+        perm
+        for perm in permutations(range(world.support_size))
+        if all(
+            tables_match(augmented_table(CandidateModel(world, perm), s), ref)
+            for s, ref in zip(specs, refs)
+        )
+    ]
+
+
+def matched_perms(world, specs):
+    return [tuple(int(v) for v in m.perm) for m in enumerate_matched(world, specs)]
+
+
+def complete_share(n):
+    return [spec("share-pairing", i) for i in range(1, n + 1)]
+
+
+# off-diagonal rows carry mass 1e-13 <= MASS_TOL, so bijections that break the
+# labeling on them still match: 8 for label:1 where only 4 preserve the label
+TOLERANCE_EDGE = DiscreteWorld(
+    (2, 2), [[0.5 - 1e-13, 1e-13], [1e-13, 0.5 - 1e-13]], np.arange(4)
+)
+
+# the light rows of the two factor-1 groups (mass 9e-13 and 1e-14) may trade
+# places under every row and pair condition, but the shifted group masses
+# move the heavy rows' table entries past MASS_TOL: only the exact check of
+# the complete bijection rejects those 72 of 432 for share:1
+GROUP_MASS_EDGE = DiscreteWorld(
+    (2, 3), [[0.5 - 1.8e-12, 9e-13, 9e-13], [0.5 - 2e-14, 1e-14, 1e-14]], np.arange(6)
+)
+
+
+@pytest.mark.parametrize("seed", [11, 13])
+def test_matched_lists_equal_brute_force_on_battery(seed):
+    for world in theorem_battery(support_max=6, seed=seed):
+        spec_lists = [[s] for s in battery_specs(world)]
+        if world.n >= 2:
+            spec_lists.append(complete_share(world.n))
+            spec_lists.append([spec("share-pairing", 1), spec("restricted-labeling", 2)])
+        for specs in spec_lists:
+            assert matched_perms(world, specs) == brute_matched(world, specs), (world, specs)
+
+
+@pytest.mark.parametrize(
+    "world, specs, count",
+    [
+        (uniform_world((2, 2, 2)), [spec("share-pairing", 1), spec("share-pairing", 2)], 64),
+        (TOLERANCE_EDGE, [spec("restricted-labeling", 1)], 8),
+        (TOLERANCE_EDGE, [spec("rank-pairing", 1)], 8),
+        (TOLERANCE_EDGE, [spec("share-pairing", 1)], 16),
+        (GROUP_MASS_EDGE, [spec("share-pairing", 1)], 360),
+    ],
+)
+def test_matched_lists_equal_brute_force_at_edges(world, specs, count):
+    perms = matched_perms(world, specs)
+    assert len(perms) == count
+    assert perms == brute_matched(world, specs)
 
 
 def test_no_supervision_matches_every_bijection(world22):
@@ -82,6 +153,38 @@ def test_find_violating_model_returns_xor_witness(world22):
     assert len(violators) == 2
 
 
+def test_find_violating_model_returns_first_brute_force_violator():
+    for world in theorem_battery(support_max=4, seed=11):
+        for specs, target in (
+            ([spec("restricted-labeling", 1)], Fact("R", IndexSet.of([1], world.n))),
+            ([spec("share-pairing", 1)], Fact("D", IndexSet.of([1], world.n))),
+        ):
+            violators = (
+                perm
+                for perm in brute_matched(world, specs)
+                if not holds(EvaluationTarget.generator_based(CandidateModel(world, perm)), target)
+            )
+            expected = next(violators, None)
+            witness = find_violating_model(world, specs, target)
+            found = None if witness is None else tuple(int(v) for v in witness.perm)
+            assert found == expected, (world, specs, target)
+
+
+def test_find_violating_model_stops_early(world22, monkeypatch):
+    built = []
+
+    class CountingModel(CandidateModel):
+        def __init__(self, world, perm):
+            built.append(tuple(perm))
+            super().__init__(world, perm)
+
+    monkeypatch.setattr(learner, "CandidateModel", CountingModel)
+    label1 = [spec("restricted-labeling", 1)]
+    witness = find_violating_model(world22, label1, Fact("R", IndexSet.of([1], 2)))
+    assert built[-1] == tuple(int(v) for v in witness.perm)
+    assert len(built) < len(brute_matched(world22, label1)) == 4
+
+
 def test_no_violator_under_complete_share(world22):
     shares = [spec("share-pairing", 1), spec("share-pairing", 2)]
     assert find_violating_model(world22, shares, Fact("D", IndexSet.of([1], 2))) is None
@@ -113,6 +216,18 @@ def test_informativeness_flags_collapsing_model(world22):
             return 0
 
     assert not check_informativeness(world22, CollapsingModel())
+
+
+def test_informativeness_propagates_foreign_errors(world22):
+    class BrokenModel:
+        def apply_enc(self, x):
+            raise TypeError("not a library error")
+
+        def apply_gen(self, z):
+            return 0
+
+    with pytest.raises(TypeError):
+        check_informativeness(world22, BrokenModel())
 
 
 def test_matched_report_contents(world22):
