@@ -17,7 +17,7 @@ import click
 
 from .calculus import closure, parse_facts
 from .continuous import rotation_world
-from .errors import DegenerateDenominator, DisentlabError, FactParseError, WorldError
+from .errors import DegenerateDenominator, DisentlabError
 from .indexset import IndexSet
 from .metrics import (
     EvaluationTarget,
@@ -42,8 +42,6 @@ from .worlds import (
     schematic_world,
 )
 
-NAMED_WORLDS = ("rotation",) + SCHEMATIC_KINDS
-
 
 def _load_world_arg(value: str):
     """A world argument is a named construction or a world file path.
@@ -55,12 +53,17 @@ def _load_world_arg(value: str):
         return rotation_world()
     if value in SCHEMATIC_KINDS:
         return schematic_world(value)
+    return _read_world_file(value), None
+
+
+def _read_world_file(path: str):
+    """Load a world file; an unreadable or invalid file is a usage error."""
     try:
-        return load_world(value), None
-    except FileNotFoundError:
-        raise click.UsageError(f"world file {value!r} not found")
-    except WorldError as exc:
-        raise click.UsageError(f"invalid world file {value!r}: {exc}")
+        return load_world(path)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read world file {path!r}: {exc}")
+    except DisentlabError as exc:
+        raise click.UsageError(f"invalid world file {path!r}: {exc}")
 
 
 def _read_model_perm(path: str) -> list:
@@ -83,8 +86,9 @@ def _emit_records(records: list[dict], fmt: str):
     if fmt == "csv":
         if not records:
             return
+        fieldnames = list(dict.fromkeys(k for rec in records for k in rec))
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(records)
         click.echo(buf.getvalue().rstrip("\n"))
@@ -107,7 +111,7 @@ def world():
 
 
 @world.command("gen")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n", "n_factors", type=int, default=2, show_default=True)
 @click.option("--cards", default="2,2", show_default=True, help="Comma-separated cardinalities.")
 @click.option("--corr", default=0.0, show_default=True, help="Factor correlation strength in [0,1].")
@@ -135,10 +139,7 @@ def world_gen(seed, n_factors, cards, corr, schematic, out):
 @click.argument("path", type=click.Path(exists=True))
 def world_validate(path):
     """Run the assumption report on a world file (warnings do not fail)."""
-    try:
-        w = load_world(path)
-    except WorldError as exc:
-        raise click.UsageError(f"parse error: {exc}")
+    w = _read_world_file(path)
     report = check_assumptions(w)
     click.echo(f"injective generator: {report.injective}")
     click.echo(f"encoder inverts generator: {report.encoder_inverts}")
@@ -152,10 +153,7 @@ def world_validate(path):
 @click.argument("path", type=click.Path(exists=True))
 def world_inspect(path):
     """Print support, marginals, and the pairwise mutual-information table."""
-    try:
-        w = load_world(path)
-    except WorldError as exc:
-        raise click.UsageError(f"parse error: {exc}")
+    w = _read_world_file(path)
     click.echo(f"factors: {w.n}  cards: {list(w.cards)}  ordered: {list(w.ordered)}")
     click.echo(f"support size: {w.support_size}")
     for t, p in zip(w.support, w.support_probs):
@@ -174,8 +172,8 @@ def world_inspect(path):
 @main.command()
 @click.option("--world", "world_arg", required=True, help="World file or named world.")
 @click.option("--spec", "spec_str", required=True, help="Supervision spec, e.g. share:1 or label:1,2.")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--n", "count", type=int, default=1000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--n", "count", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--out", "-o", type=click.Path(), required=True)
 def dataset(world_arg, spec_str, seed, count, out):
     """Sample an augmented-distribution dataset to a file."""
@@ -185,6 +183,8 @@ def dataset(world_arg, spec_str, seed, count, out):
         write_dataset(out, w, spec, seed, count)
     except DisentlabError as exc:
         raise click.UsageError(str(exc))
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {out!r}: {exc.strerror}")
     click.echo(f"wrote {count} records to {out}")
 
 
@@ -206,27 +206,29 @@ def dataset(world_arg, spec_str, seed, count, out):
               show_default=True)
 @click.option("--mode", type=click.Choice(["exact", "mc"]), default=None,
               help="Default: exact for discrete worlds, mc for continuous.")
-@click.option("--samples", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--threads", default=1, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol", default=1e-12, show_default=True, help="Zero-deviation tolerance for --facts.")
 @click.option("--with-mig", is_flag=True, help="Also report the mutual information gap.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
               show_default=True)
 def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, samples, seed,
-          threads, tol, with_mig, fmt):
+          tol, with_mig, fmt):
     """Emit normalized consistency/restrictiveness records for a candidate."""
     w, paired = _load_world_arg(world_arg)
     if bijection or model_file:
-        if paired is not None and world_arg in NAMED_WORLDS and world_arg == "rotation":
+        if world_arg == "rotation":
             raise click.UsageError("the rotation world carries its own candidate")
         if model_file:
             perm = _read_model_perm(model_file)
         else:
-            perm = [int(tok) for tok in bijection.split(",")]
+            try:
+                perm = [int(tok) for tok in bijection.split(",")]
+            except ValueError:
+                raise click.UsageError(f"--bijection {bijection!r} is not a comma-separated list of integers")
         try:
             model = CandidateModel(w, perm)
-        except DisentlabError as exc:
+        except (DisentlabError, OverflowError) as exc:
             raise click.UsageError(str(exc))
     elif paired is not None:
         model = paired
@@ -238,48 +240,45 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
         mode = "exact" if discrete else "mc"
     n = model.n
     if sets:
-        index_sets = []
-        for s in sets:
-            indices = [int(tok) for tok in s.split(",") if tok.strip()]
-            index_sets.append(IndexSet.of(indices, n))
+        try:
+            index_sets = [IndexSet.of([int(t) for t in s.split(",") if t.strip()], n) for s in sets]
+        except (ValueError, DisentlabError) as exc:
+            raise click.UsageError(f"bad --set for {n} factors: {exc}")
     else:
         index_sets = [IndexSet.of([i], n) for i in range(1, n + 1)]
 
     directions = {"gen": ["generator"], "enc": ["encoder"], "both": ["generator", "encoder"]}[direction]
     kinds = {"c": ["consistency"], "r": ["restrictiveness"], "both": ["consistency", "restrictiveness"]}[kind]
 
+    try:
+        fact_list = parse_facts(facts, n) if facts else []
+    except DisentlabError as exc:
+        raise click.UsageError(str(exc))
+
     records = []
     degenerate = 0
-    for d in directions:
-        target = EvaluationTarget(d, model)
-        for I in index_sets:
-            for k in kinds:
-                fn = normalized_consistency if k == "consistency" else normalized_restrictiveness
-                try:
-                    rep = fn(target, I, mode=mode, samples=samples, seed=seed, threads=threads)
-                    records.append(rep.to_dict())
-                except DegenerateDenominator:
-                    degenerate += 1
-                    records.append(
-                        {
-                            "direction": d,
-                            "kind": k,
-                            "index_set": list(I.members()),
-                            "score": None,
-                            "degenerate": True,
-                        }
-                    )
-        if facts:
-            try:
-                fact_list = parse_facts(facts, n)
-            except FactParseError as exc:
-                raise click.UsageError(str(exc))
+    try:
+        for d in directions:
+            target = EvaluationTarget(d, model)
+            for I in index_sets:
+                for k in kinds:
+                    fn = normalized_consistency if k == "consistency" else normalized_restrictiveness
+                    try:
+                        records.append(fn(target, I, mode=mode, samples=samples, seed=seed).to_dict())
+                    except DegenerateDenominator:
+                        degenerate += 1
+                        records.append(
+                            {"direction": d, "kind": k, "index_set": list(I.members()), "score": None,
+                             "degenerate": True}
+                        )
             for f in fact_list:
                 verdict = holds(target, f, tol=tol, mode=mode, samples=samples, seed=seed)
                 records.append({"direction": d, "fact": str(f), "holds": verdict, "tol": tol})
-        if with_mig:
-            rep = mig(target, samples=samples, seed=seed)
-            records.append({"direction": d, "kind": "mig", **rep.to_dict()})
+            if with_mig:
+                rep = mig(target, samples=samples, seed=seed)
+                records.append({"direction": d, "kind": "mig", **rep.to_dict()})
+    except DisentlabError as exc:  # e.g. exact mode on a continuous world
+        raise click.UsageError(str(exc))
     _emit_records(records, fmt)
     if degenerate:
         click.echo(f"note: {degenerate} degenerate denominator(s)", err=True)
@@ -301,13 +300,13 @@ def calc(n_factors, axioms, query, show_closure, nuisance, fmt):
     try:
         axiom_facts = parse_facts(axioms, n_factors, nuisance)
         fs = closure(axiom_facts, n_factors, nuisance=nuisance)
-    except (FactParseError, DisentlabError) as exc:
+    except DisentlabError as exc:
         raise click.UsageError(str(exc))
 
     if query is not None:
         try:
             queries = parse_facts(query, n_factors, nuisance)
-        except FactParseError as exc:
+        except DisentlabError as exc:
             raise click.UsageError(str(exc))
         ok = all(fs.contains(q) for q in queries)
         lines: list[str] = []
@@ -342,14 +341,13 @@ def calc(n_factors, axioms, query, show_closure, nuisance, fmt):
 @click.option("--sweep", is_flag=True)
 @click.option("--counterexamples", is_flag=True)
 @click.option("--theorems", is_flag=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--trials", default=1000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--support-max", default=6, show_default=True)
-@click.option("--samples", default=50000, show_default=True)
-@click.option("--threads", default=1, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=50000, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-def verify(sweep, counterexamples, theorems, seed, trials, support_max, samples, threads, fmt):
+def verify(sweep, counterexamples, theorems, seed, trials, support_max, samples, fmt):
     """Run the verification suites; exit 1 unless every check passes."""
     if not (sweep or counterexamples or theorems):
         sweep = counterexamples = theorems = True
@@ -369,7 +367,7 @@ def verify(sweep, counterexamples, theorems, seed, trials, support_max, samples,
         if fmt == "text":
             click.echo(report.to_text())
     if sweep:
-        sweep_report = soundness_sweep(seed=seed, trials=trials, threads=threads)
+        sweep_report = soundness_sweep(seed=seed, trials=trials)
         passed &= sweep_report.passed
         out["sweep"] = sweep_report.to_dict()
         if fmt == "text":

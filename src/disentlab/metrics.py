@@ -17,7 +17,6 @@ verbatim rather than through clamping.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +114,16 @@ class EvaluationTarget:
         return m.support, m.base.support_probs, m.support[m.inv_perm], m.cards
 
     def mc_parts(self):
-        """(latent sampler, measured-batch function) for Monte-Carlo mode."""
+        """(latent sampler, measured-batch function) for Monte-Carlo mode.
+
+        The sampler follows the sample_latents/resample_latents protocol;
+        the function maps an (m, n) latent batch to measured factors.
+        """
         m = self.model
         if self.is_discrete:
-            raise MetricError("discrete targets use the row-based Monte-Carlo path")
+            _, _, measured, _ = self.exact_view()
+            sampler = m if self.direction == GENERATOR_BASED else m.base
+            return sampler, lambda z: measured[m.base.rows_of(z)]
         if self.direction == GENERATOR_BASED:
             return m, m.phi
         return m.base, m.phi_inverse
@@ -184,106 +189,58 @@ def _chunk_sizes(total: int) -> list[int]:
     return sizes
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _run_chunks(fn, total: int, seed, threads: int) -> np.ndarray:
+def _run_chunks(fn, total: int, seq: np.random.SeedSequence) -> np.ndarray:
     """Evaluate fn(rng, size) over fixed-size chunks with per-chunk derived
-    seeds; results are independent of the worker count."""
+    seeds, so a result does not depend on how the chunks are scheduled."""
     sizes = _chunk_sizes(total)
-    seeds = _as_seedseq(seed).spawn(len(sizes))
-    jobs = [(np.random.default_rng(s), size) for s, size in zip(seeds, sizes)]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: fn(*j), jobs))
-    else:
-        parts = [fn(*j) for j in jobs]
+    seeds = seq.spawn(len(sizes))
+    parts = [fn(np.random.default_rng(s), size) for s, size in zip(seeds, sizes)]
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _resample_rows(rng, support, probs, rows, fixed_cols) -> np.ndarray:
-    """Redraw support-row indices conditionally on the fixed coordinates."""
-    if not fixed_cols:
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        return np.searchsorted(cum, rng.random(len(rows)), side="right")
-    keys = support[np.ix_(rows, fixed_cols)]
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    out = np.empty(len(rows), dtype=np.int64)
-    for g in range(len(uniq)):
-        sel = np.all(support[:, fixed_cols] == uniq[g], axis=1)
-        idx = np.flatnonzero(sel)
-        w = probs[idx]
-        cum = np.cumsum(w / w.sum())
-        cum[-1] = 1.0
-        members = np.flatnonzero(inverse == g)
-        out[members] = idx[np.searchsorted(cum, rng.random(len(members)), side="right")]
-    return out
+def _mc_deviations(target, I: IndexSet, samples: int, seed):
+    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample.
 
-
-def _mc_deviations(target, I: IndexSet, samples: int, seed, threads: int):
-    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample."""
-    cond_cols, measure_cols = I.cols(), I.cols()
+    Discrete factors count differing coordinates (squared indicator
+    distance); continuous factors use squared Euclidean distance.
+    """
+    if samples < 1:
+        raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
+    cols, resample_cols = I.cols(), I.complement().cols()
     seq_num, seq_den = np.random.SeedSequence(seed).spawn(2)
+    sampler, measure = target.mc_parts()
 
-    if target.is_discrete:
-        support, probs, mapped, _ = target.exact_view()
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
+    def distance(z, z2):
+        a, b = measure(z)[:, cols], measure(z2)[:, cols]
+        if target.is_discrete:
+            return (a != b).sum(axis=1).astype(float)
+        return ((a - b) ** 2).sum(axis=1)
 
-        def draw(rng, m):
-            return np.searchsorted(cum, rng.random(m), side="right")
+    def num_chunk(rng, m):
+        z = sampler.sample_latents(rng, m)
+        return distance(z, sampler.resample_latents(rng, z, resample_cols))
 
-        def num_chunk(rng, m):
-            rows = draw(rng, m)
-            rows2 = _resample_rows(rng, support, probs, rows, cond_cols)
-            return (mapped[np.ix_(rows, measure_cols)] != mapped[np.ix_(rows2, measure_cols)]).sum(axis=1).astype(float)
+    def den_chunk(rng, m):
+        return distance(sampler.sample_latents(rng, m), sampler.sample_latents(rng, m))
 
-        def den_chunk(rng, m):
-            rows, rows2 = draw(rng, m), draw(rng, m)
-            return (mapped[np.ix_(rows, measure_cols)] != mapped[np.ix_(rows2, measure_cols)]).sum(axis=1).astype(float)
-
-    else:
-        sampler, measure = target.mc_parts()
-        resample_cols = I.complement().cols()
-
-        def num_chunk(rng, m):
-            z = sampler.sample_latents(rng, m)
-            z2 = sampler.resample_latents(rng, z, resample_cols)
-            diff = measure(z)[:, measure_cols] - measure(z2)[:, measure_cols]
-            return (diff**2).sum(axis=1)
-
-        def den_chunk(rng, m):
-            z, z2 = sampler.sample_latents(rng, m), sampler.sample_latents(rng, m)
-            diff = measure(z)[:, measure_cols] - measure(z2)[:, measure_cols]
-            return (diff**2).sum(axis=1)
-
-    num_devs = _run_chunks(num_chunk, samples, seq_num, threads)
-    den_devs = _run_chunks(den_chunk, samples, seq_den, threads)
-    return num_devs, den_devs
+    return _run_chunks(num_chunk, samples, seq_num), _run_chunks(den_chunk, samples, seq_den)
 
 
-def _bootstrap_std_error(num_devs, den_devs, seed, resamples: int = 200) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-    scores = []
-    m, k = len(num_devs), len(den_devs)
-    for _ in range(resamples):
-        num = num_devs[rng.integers(0, m, m)].mean()
-        den = den_devs[rng.integers(0, k, k)].mean()
-        if den > DEGENERACY_THRESHOLD:
-            scores.append(1.0 - num / den)
-    if len(scores) < 2:
+def _ratio_std_error(num_devs, den_devs) -> float:
+    """Delta-method standard error of 1 - mean(num)/mean(den) for two
+    independent samples: sqrt(Var(N)/D^2 + N^2 Var(D)/D^4)."""
+    if len(num_devs) < 2 or len(den_devs) < 2:
         return float("nan")
-    return float(np.std(scores, ddof=1))
+    num, den = num_devs.mean(), den_devs.mean()
+    var_num = num_devs.var(ddof=1) / len(num_devs)
+    var_den = den_devs.var(ddof=1) / len(den_devs)
+    return float(np.sqrt(var_num / den**2 + num**2 * var_den / den**4))
 
 
 # -- normalized scores ---------------------------------------------------------------
 
 
-def _normalized(target, I, kind, report_set, mode, samples, seed, threads, bootstrap):
+def _normalized(target, I, kind, report_set, mode, samples, seed):
     if mode == "exact":
         support, probs, mapped, cards = target.exact_view()
         num, gap = _exact_stats(support, probs, mapped, I.cols(), I.cols(), cards)
@@ -295,15 +252,15 @@ def _normalized(target, I, kind, report_set, mode, samples, seed, threads, boots
         return ScoreReport(target.direction, kind, report_set, num, den, gap / den, "exact")
     if mode != "mc":
         raise MetricError(f"unknown mode {mode!r}; expected 'exact' or 'mc'")
-    num_devs, den_devs = _mc_deviations(target, I, samples, seed, threads)
+    num_devs, den_devs = _mc_deviations(target, I, samples, seed)
     num, den = float(num_devs.mean()), float(den_devs.mean())
     if den <= DEGENERACY_THRESHOLD:
         raise DegenerateDenominator(
             f"{kind} denominator {den!r} for I={report_set} is uninformative"
         )
-    std_error = _bootstrap_std_error(num_devs, den_devs, seed, bootstrap)
     return ScoreReport(
-        target.direction, kind, report_set, num, den, 1.0 - num / den, "mc", samples, std_error, seed
+        target.direction, kind, report_set, num, den, 1.0 - num / den, "mc", samples,
+        _ratio_std_error(num_devs, den_devs), seed,
     )
 
 
@@ -313,14 +270,12 @@ def normalized_consistency(
     mode: str = "exact",
     samples: int = 10000,
     seed: int = 0,
-    threads: int = 1,
-    bootstrap: int = 200,
 ) -> ScoreReport:
     """Score 1 - num/den: one minus the conditional-resampling deviation over
     the i.i.d.-pair deviation.  Equals 1 iff C(I) holds; raises
     DegenerateDenominator on uninformative codes."""
     target.check_index_set(I)
-    return _normalized(target, I, "consistency", I, mode, samples, seed, threads, bootstrap)
+    return _normalized(target, I, "consistency", I, mode, samples, seed)
 
 
 def normalized_restrictiveness(
@@ -329,14 +284,10 @@ def normalized_restrictiveness(
     mode: str = "exact",
     samples: int = 10000,
     seed: int = 0,
-    threads: int = 1,
-    bootstrap: int = 200,
 ) -> ScoreReport:
     """Dual score over the complement set, reported against I itself."""
     target.check_index_set(I)
-    return _normalized(
-        target, I.complement(), "restrictiveness", I, mode, samples, seed, threads, bootstrap
-    )
+    return _normalized(target, I.complement(), "restrictiveness", I, mode, samples, seed)
 
 
 def holds(
@@ -355,7 +306,7 @@ def holds(
     def raw(J: IndexSet) -> float:
         if mode == "exact":
             return raw_consistency(target, J)
-        devs, _ = _mc_deviations(target, J, samples, seed, 1)
+        devs, _ = _mc_deviations(target, J, samples, seed)
         return float(devs.mean())
 
     if fact.kind == "C":

@@ -97,11 +97,14 @@ class SupervisionSpec:
     @classmethod
     def parse(cls, text: str) -> "SupervisionSpec":
         head, sep, rest = text.strip().partition(":")
-        if not sep or head not in _SHORT:
+        try:
+            indices = tuple(int(tok) for tok in rest.split(",") if tok.strip() != "")
+        except ValueError:
+            indices = None
+        if not sep or head not in _SHORT or indices is None:
             raise SupervisionError(
                 f"cannot parse supervision spec {text!r}; expected e.g. 'share:1' or 'label:1,2'"
             )
-        indices = tuple(int(tok) for tok in rest.split(",") if tok.strip() != "")
         return cls(_SHORT[head], indices)
 
 
@@ -193,6 +196,19 @@ def augmented_table(obj, spec: SupervisionSpec) -> AugmentedTable:
 # -- sampling -------------------------------------------------------------------
 
 
+def _sample_latent_records(obj, kind: str, I: IndexSet, rng: np.random.Generator, count: int):
+    """Latent arrays (z, z2, y) of `count` i.i.d. records; z2 is None for
+    restricted labeling and y is None unless rank pairing."""
+    z = obj.sample_latents(rng, count)
+    if kind == RESTRICTED_LABELING:
+        return z, None, None
+    if kind == MATCH_PAIRING:
+        return z, obj.resample_latents(rng, z, I.complement().cols()), None
+    z2 = obj.sample_latents(rng, count)
+    c = I.cols()[0]
+    return z, z2, z[:, c] >= z2[:, c]
+
+
 def sample_records(obj, spec: SupervisionSpec, seed: int, count: int) -> list[tuple]:
     """Stream `count` i.i.d. records of the augmented distribution.
 
@@ -202,35 +218,19 @@ def sample_records(obj, spec: SupervisionSpec, seed: int, count: int) -> list[tu
     """
     rng = np.random.default_rng(seed)
     kind, I = spec.validate_for(obj)
-    if count == 0:
-        return []
-    cols = I.cols()
+    z, z2, y = _sample_latent_records(obj, kind, I, rng, count)
     discrete = isinstance(obj, (DiscreteWorld, CandidateModel))
 
-    def obs_out(x_arr):
-        if discrete:
-            return [int(v) for v in x_arr]
-        return [tuple(float(f) for f in row) for row in x_arr]
+    def obs_out(x):
+        return x.tolist() if discrete else [tuple(row) for row in x.tolist()]
 
+    xs = obs_out(obj.observe(z))
     if kind == RESTRICTED_LABELING:
-        z = obj.sample_latents(rng, count)
-        xs = obs_out(obj.observe(z))
-        if discrete:
-            labels = [tuple(int(v) for v in row) for row in z[:, cols]]
-        else:
-            labels = [tuple(float(v) for v in row) for row in z[:, cols]]
-        return list(zip(xs, labels))
+        return list(zip(xs, map(tuple, z[:, I.cols()].tolist())))
+    x2s = obs_out(obj.observe(z2))
     if kind == MATCH_PAIRING:
-        z = obj.sample_latents(rng, count)
-        rest = I.complement().cols()
-        z2 = obj.resample_latents(rng, z, rest)
-        return list(zip(obs_out(obj.observe(z)), obs_out(obj.observe(z2))))
-    # rank pairing
-    c = cols[0]
-    z = obj.sample_latents(rng, count)
-    z2 = obj.sample_latents(rng, count)
-    ys = (z[:, c] >= z2[:, c]).astype(int)
-    return list(zip(obs_out(obj.observe(z)), obs_out(obj.observe(z2)), (int(y) for y in ys)))
+        return list(zip(xs, x2s))
+    return list(zip(xs, x2s, y.astype(int).tolist()))
 
 
 def sample_features(obj, spec: SupervisionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -240,20 +240,13 @@ def sample_features(obj, spec: SupervisionSpec, rng: np.random.Generator, count:
     observations, and rank indicators are appended as extra columns.
     """
     kind, I = spec.validate_for(obj)
-    cols = I.cols()
+    z, z2, y = _sample_latent_records(obj, kind, I, rng, count)
     if kind == RESTRICTED_LABELING:
-        z = obj.sample_latents(rng, count)
-        x = np.atleast_2d(obj.observe(z))
-        return np.column_stack([x, z[:, cols]])
-    if kind == MATCH_PAIRING:
-        z = obj.sample_latents(rng, count)
-        z2 = obj.resample_latents(rng, z, I.complement().cols())
-        return np.column_stack([obj.observe(z), obj.observe(z2)])
-    c = cols[0]
-    z = obj.sample_latents(rng, count)
-    z2 = obj.sample_latents(rng, count)
-    y = (z[:, c] >= z2[:, c]).astype(float)
-    return np.column_stack([obj.observe(z), obj.observe(z2), y])
+        return np.column_stack([obj.observe(z), z[:, I.cols()]])
+    columns = [obj.observe(z), obj.observe(z2)]
+    if kind == RANK_PAIRING:
+        columns.append(y.astype(float))
+    return np.column_stack(columns)
 
 
 # -- dataset files ----------------------------------------------------------------

@@ -9,7 +9,6 @@ assumption reports for worlds.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations as _combinations
 
@@ -252,16 +251,11 @@ def soundness_sweep(
     trials: int = 1000,
     n_max: int = 3,
     card_max: int = 3,
-    threads: int = 1,
 ) -> SweepReport:
     """Random worlds and bijections: every fact the guarded closure derives
     from true axioms must itself be true under exact evaluation."""
     trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _sweep_trial(s, n_max, card_max), trial_seeds))
-    else:
-        results = [_sweep_trial(s, n_max, card_max) for s in trial_seeds]
+    results = [_sweep_trial(s, n_max, card_max) for s in trial_seeds]
     checked = sum(k for k, _ in results)
     violations = [v for _, vs in results for v in vs]
     return SweepReport(trials, checked, violations, seed)

@@ -80,10 +80,14 @@ class DiscreteWorld:
         self.support = support
         self.support_probs = prior[mask]
         self.obs_ids = ids
-        self._row_of = {tuple(t): r for r, t in enumerate(support)}
-        # derived encoder: observation id -> factor tuple (exact inverse)
-        self._enc = {int(x): tuple(int(v) for v in t) for x, t in zip(ids, support)}
-        for arr in (self.prior, self.gen, self.support, self.support_probs, self.obs_ids):
+        # dense row index over the factor grid, -1 off the support
+        self._row = np.full(cards, -1, dtype=np.int64)
+        self._row[mask] = np.arange(len(support))
+        # derived encoder: sorted observation ids and the support row of each
+        self._id_order = np.argsort(ids)
+        self._sorted_ids = ids[self._id_order]
+        for arr in (self.prior, self.gen, self.support, self.support_probs, self.obs_ids,
+                    self._row, self._id_order, self._sorted_ids):
             arr.flags.writeable = False
 
     # -- basic queries -----------------------------------------------------
@@ -93,10 +97,20 @@ class DiscreteWorld:
         return len(self.support)
 
     def row_of(self, factors: Sequence[int]) -> int:
-        try:
-            return self._row_of[tuple(int(v) for v in factors)]
-        except KeyError:
-            raise ZeroMassConditioning(f"tuple {tuple(factors)} has zero mass") from None
+        """Support row of one factor tuple; ZeroMassConditioning off the support."""
+        return int(self.rows_of(np.asarray([[int(v) for v in factors]]))[0])
+
+    def rows_of(self, latents: np.ndarray) -> np.ndarray:
+        """Support row of each factor tuple in an (m, n) int array."""
+        latents = np.asarray(latents)
+        if latents.ndim != 2 or latents.shape[1] != self.n:
+            raise ZeroMassConditioning(f"expected tuples of {self.n} factors, got shape {latents.shape}")
+        if np.any((latents < 0) | (latents >= np.asarray(self.cards))):
+            raise ZeroMassConditioning("factor value outside the factor space has zero mass")
+        rows = self._row[tuple(latents.T)]
+        if np.any(rows < 0):
+            raise ZeroMassConditioning(f"tuple {tuple(latents[np.argmin(rows)].tolist())} has zero mass")
+        return rows
 
     def prob(self, factors: Sequence[int]) -> float:
         return float(self.prior[tuple(int(v) for v in factors)])
@@ -107,10 +121,11 @@ class DiscreteWorld:
 
     def encode(self, obs_id: int) -> tuple[int, ...]:
         """e* = g*^-1 on the support."""
-        try:
-            return self._enc[int(obs_id)]
-        except KeyError:
-            raise WorldError(f"observation id {obs_id} not produced by this world") from None
+        obs_id = int(obs_id)
+        i = int(np.searchsorted(self._sorted_ids, obs_id))
+        if i == len(self._sorted_ids) or self._sorted_ids[i] != obs_id:
+            raise WorldError(f"observation id {obs_id} not produced by this world")
+        return tuple(int(v) for v in self.support[self._id_order[i]])
 
     def index_set(self, indices: Iterable[int]) -> IndexSet:
         return IndexSet.of(indices, self.n)
@@ -209,6 +224,10 @@ def world_from_doc(doc: dict) -> DiscreteWorld:
         raise WorldError(f"malformed world document: {exc}") from exc
     if version != WORLD_DOC_VERSION:
         raise WorldError(f"unsupported world document version {version!r}")
+    if not isinstance(prior, list) or not all(type(v) in (int, float) for v in prior):
+        raise WorldError("prior must be an array of numbers")
+    if not isinstance(gen, list) or not all(type(v) is int for v in gen):
+        raise WorldError("gen must be an array of integers")
     if len(cards) != n:
         raise ArityMismatch(f"n={n} but {len(cards)} cardinalities listed")
     size = prod(cards)
@@ -352,11 +371,7 @@ class CandidateModel:
         return _resample_table(rng, self.support, self.probs, latents, resample_cols)
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
-        rows = np.fromiter(
-            (self.base.row_of(t) for t in latents), dtype=np.int64, count=len(latents)
-        )
-        mapped = self.mapped[rows]
-        return self.base.gen[tuple(mapped[:, j] for j in range(self.n))]
+        return self.base.obs_ids[self.perm[self.base.rows_of(latents)]]
 
     def __repr__(self) -> str:
         return f"CandidateModel(cards={self.cards}, perm={self.perm.tolist()})"
@@ -470,29 +485,15 @@ def _resample_table(rng, support, probs, latents, resample_cols) -> np.ndarray:
     resample_cols = sorted(set(resample_cols))
     if not resample_cols:
         return latents.copy()
-    n = support.shape[1]
-    fixed = [c for c in range(n) if c not in resample_cols]
+    fixed = [c for c in range(support.shape[1]) if c not in resample_cols]
     if not fixed:
-        rows = _draw_rows(rng, probs, len(latents))
-        return support[rows]
-
-    groups: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for key in {tuple(row) for row in np.asarray(latents)[:, fixed]}:
-        sel = np.all(support[:, fixed] == np.asarray(key, dtype=np.int64), axis=1)
-        idx = np.flatnonzero(sel)
-        w = probs[idx]
-        cum = np.cumsum(w / w.sum())
-        cum[-1] = 1.0
-        groups[key] = (idx, cum)
-
-    out = np.asarray(latents).copy()
-    keys = np.asarray(latents)[:, fixed]
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    for g, key in enumerate(map(tuple, uniq)):
-        idx, cum = groups[key]
-        members = np.flatnonzero(inverse == g)
-        picks = idx[np.searchsorted(cum, rng.random(len(members)), side="right")]
-        out[np.ix_(members, resample_cols)] = support[np.ix_(picks, resample_cols)]
+        return support[_draw_rows(rng, probs, len(latents))]
+    uniq, inverse = np.unique(np.asarray(latents)[:, fixed], axis=0, return_inverse=True)
+    out = np.array(latents)
+    for g, key in enumerate(uniq):
+        idx = np.flatnonzero(np.all(support[:, fixed] == key, axis=1))
+        members = np.flatnonzero(inverse.reshape(-1) == g)
+        out[members] = support[idx[_draw_rows(rng, probs[idx] / probs[idx].sum(), len(members))]]
     return out
 
 

@@ -141,7 +141,7 @@ def test_criterion_5_theorem_guarantee_universality():
 
 
 def test_criterion_6_impossibility():
-    c = Criterion(6, "labeling is insufficient for restrictiveness", 60)
+    c = Criterion(6, "labeling is insufficient for restrictiveness", 3)
     world = uniform_world((2, 2))
     label1 = SupervisionSpec("restricted-labeling", (1,))
     matched = enumerate_matched(world, [label1])
@@ -188,7 +188,7 @@ def test_criterion_7_full_disentanglement_vs_unsupervised():
 
 
 def test_criterion_8_mc_agrees_with_exact():
-    c = Criterion(8, "Monte-Carlo scores track exact scores within 3 std errors", 120)
+    c = Criterion(8, "Monte-Carlo scores track exact scores within 3 std errors", 6)
     rng = np.random.default_rng(17)
     agree = 0
     cases = 0
@@ -208,7 +208,7 @@ def test_criterion_8_mc_agrees_with_exact():
         cases += 1
         if abs(est.score - exact.score) <= 3.0 * max(est.std_error, 1e-12):
             agree += 1
-    c.finish(agree >= 97, f"{agree}/100 within 3 bootstrap std errors")
+    c.finish(agree >= 97, f"{agree}/100 within 3 std errors")
 
 
 def test_criterion_9_nuisance_rule():

@@ -1,7 +1,13 @@
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disentlab.cli import main
 
@@ -156,6 +162,152 @@ def test_score_csv_format(runner):
     lines = res.output.splitlines()
     assert lines[0].startswith("direction,kind,index_set")
     assert len(lines) == 3
+
+
+def test_score_csv_mixed_record_types(runner, tmp_path):
+    w = tmp_path / "w.json"
+    invoke(runner, "world", "gen", "--seed", "1", "--cards", "2,2", "--out", str(w))
+    res = invoke(runner, "score", "--world", str(w), "--set", "", "--set", "1", "--kind", "c",
+                 "--facts", "C{1}", "--with-mig", "--format", "csv")
+    assert res.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert [r["degenerate"] for r in rows] == ["True", "", "", ""]
+    assert rows[1]["kind"] == "consistency" and rows[1]["score"] == "1.0"
+    assert rows[2]["fact"] == "C{1}" and rows[2]["holds"] == "True"
+    assert rows[3]["kind"] == "mig" and rows[3]["mean"] == "1.0"
+
+
+CNR = ["--world", "consistent-not-restrictive"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["score", *CNR, "--bijection", "a,b"],
+        ["score", *CNR, "--set", "5"],
+        ["score", *CNR, "--set", "x"],
+        ["score", *CNR, "--samples", "0"],
+        ["score", *CNR, "--samples", "-3"],
+        ["score", *CNR, "--seed", "-1"],
+        ["score", "--world", "rotation", "--mode", "exact"],
+        ["score", "--world", "{tmp}/arity.json"],
+        ["score", "--world", "{tmp}"],
+        ["dataset", *CNR, "--spec", "share:a", "--out", "{tmp}/d.jsonl"],
+        ["dataset", *CNR, "--spec", "share:1", "--out", "{tmp}"],
+        ["calc", "--n", "2", "--nuisance", "--query", "Ceta{5}"],
+        ["verify", "--counterexamples", "--samples", "0"],
+    ],
+    ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
+         "exact-on-continuous", "world-arity", "world-directory", "spec-token", "out-directory",
+         "eta-query-range", "verify-samples-zero"],
+)
+def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
+    (tmp_path / "arity.json").write_text(
+        '{"version": 1, "n": 2, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}'
+    )
+    res = runner.invoke(main, [a.replace("{tmp}", str(tmp_path)) for a in args])
+    assert res.exit_code == 2 and isinstance(res.exception, (SystemExit, type(None)))
+    assert "Traceback" not in res.output and res.output.strip().splitlines()[-1].startswith("Error:")
+
+
+def test_score_world_with_non_integer_gen_exits_two(runner, tmp_path):
+    w = tmp_path / "w.json"
+    invoke(runner, "world", "gen", "--seed", "1", "--cards", "2,2", "--out", str(w))
+    doc = json.loads(w.read_text())
+    doc["gen"][1] = "one"
+    w.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["score", "--world", str(w)])
+    assert res.exit_code == 2
+    assert "invalid world file" in res.output and "Traceback" not in res.output
+
+
+def _fuzz_files(root: Path) -> dict:
+    """Paths the fuzzed argument lists refer to by name."""
+    good = root / "good.json"
+    CliRunner().invoke(main, ["world", "gen", "--seed", "1", "--cards", "2,2", "--out", str(good)])
+    bad = root / "bad.json"
+    bad.write_text('{"version": 1, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, "x"]}')
+    model = root / "model.json"
+    model.write_text(json.dumps({"perm": [1, 0, 2, 3]}))
+    return {"good": str(good), "bad": str(bad), "model": str(model), "dir": str(root),
+            "out": str(root / "out.jsonl"), "missing": str(root / "missing.json")}
+
+
+FILES = ("good", "bad", "dir", "missing")
+TOKEN = st.one_of(st.text(max_size=6), st.integers(-3, 5).map(str))
+WORLDS = st.one_of(st.sampled_from(["rotation", "consistent-not-restrictive", "zigzag-violation"]),
+                   st.sampled_from(FILES), TOKEN)
+FACTS = st.one_of(st.sampled_from(["C{1}", "R{1,2} & D{2}", "Ceta{1}", "Ceta{9}", "C{9}", "C{", ""]), TOKEN)
+OPTIONS = {
+    "score": {
+        "--world": WORLDS,
+        "--bijection": st.one_of(st.sampled_from(["0,1,2,3", "3,2,1,0", "0,0", "a,b"]), TOKEN),
+        "--model-file": st.sampled_from(["model", "bad"]),
+        "--set": st.one_of(st.sampled_from(["1", "1,2", "", "3", "2,x"]), TOKEN),
+        "--facts": FACTS,
+        "--kind": st.sampled_from(["c", "r", "both", "q"]),
+        "--direction": st.sampled_from(["gen", "enc", "both"]),
+        "--mode": st.sampled_from(["exact", "mc", "fast"]),
+        "--samples": st.sampled_from(["-1", "0", "1", "2", "40", "x"]),
+        "--seed": TOKEN,
+        "--tol": st.sampled_from(["0", "1e-3", "-1", "nan", "x"]),
+        "--with-mig": st.just(None),
+        "--format": st.sampled_from(["text", "json", "csv", "xml"]),
+    },
+    "calc": {
+        "--n": st.sampled_from(["-1", "0", "1", "2", "3", "17", "x"]),
+        "--axioms": FACTS,
+        "--query": FACTS,
+        "--closure": st.just(None),
+        "--nuisance": st.just(None),
+        "--format": st.sampled_from(["text", "json", "csv"]),
+    },
+    "dataset": {
+        "--world": WORLDS,
+        "--spec": st.one_of(st.sampled_from(["share:1", "label:1,2", "rank:2", "change:3", "share:", "rank:a"]), TOKEN),
+        "--seed": TOKEN,
+        "--n": st.sampled_from(["-1", "0", "1", "30", "x"]),
+        "--out": st.sampled_from(["out", "dir"]),
+    },
+}
+REQUIRED = {"score": ["--world"], "calc": ["--n"], "dataset": ["--world", "--spec", "--out"]}
+
+
+@st.composite
+def command_lines(draw, command):
+    """Required options (each dropped with probability 1/8), then a few
+    optional ones, then now and then a stray positional argument."""
+    options = OPTIONS[command]
+    names = [name for name in REQUIRED[command] if draw(st.integers(0, 7))]
+    names += draw(st.lists(st.sampled_from(sorted(options)), max_size=5))
+    args = [command]
+    for name in names:
+        args.append(name)
+        value = draw(options[name])
+        if value is not None:
+            args.append(value)
+    if not draw(st.integers(0, 7)):
+        args.append(draw(TOKEN))
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_cli_fuzz_never_crashes(command):
+    """Random argument lists exit 0 or 2 with no uncaught exception; none of
+    these commands runs a verification, so exit 1 would mean a crash."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = _fuzz_files(Path(tmp))
+        runner = CliRunner()
+
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @given(command_lines(command))
+        def run(args):
+            args = [files.get(a, a) for a in args]
+            res = runner.invoke(main, args)
+            assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.output)
+            assert res.exit_code in (0, 2), (args, res.output)
+
+        run()
 
 
 def test_calc_intersection_query(runner):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from disentlab import (
     schematic_world,
     uniform_world,
 )
+from disentlab import metrics
 from disentlab.errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 
 
@@ -178,15 +181,63 @@ def test_exact_and_mc_agree():
     assert mismatches <= max(1, int(0.05 * cases))
 
 
-def test_mc_deterministic_and_thread_invariant():
+def test_mc_deterministic_in_seed():
     _, cand = rotation_world()
     target = gen_target(cand)
     I = IndexSet.of([2], 3)
-    a = normalized_consistency(target, I, mode="mc", samples=20000, seed=5, threads=1)
-    b = normalized_consistency(target, I, mode="mc", samples=20000, seed=5, threads=4)
+    a = normalized_consistency(target, I, mode="mc", samples=20000, seed=5)
+    b = normalized_consistency(target, I, mode="mc", samples=20000, seed=5)
     assert a.score == b.score and a.std_error == b.std_error
     c = normalized_consistency(target, I, mode="mc", samples=20000, seed=6)
     assert c.score != a.score
+
+
+def bootstrap_std_error(num_devs, den_devs, rng, resamples=200):
+    """Resample both deviation samples independently and take the spread
+    of 1 - mean(num)/mean(den)."""
+    m, k = len(num_devs), len(den_devs)
+    scores = [
+        1.0 - num_devs[rng.integers(0, m, m)].mean() / den_devs[rng.integers(0, k, k)].mean()
+        for _ in range(resamples)
+    ]
+    return float(np.std(scores, ddof=1))
+
+
+def test_delta_std_error_agrees_with_bootstrap_oracle():
+    _, model = random_pair(5)  # scores of 0.11 and 0.48, away from 0 and 1
+    _, rot = rotation_world()
+    cases = [
+        (gen_target(rot), IndexSet.of([1], 3), normalized_restrictiveness),
+        (gen_target(model), IndexSet.of([1], model.n), normalized_consistency),
+        (enc_target(model), IndexSet.of([1], model.n), normalized_restrictiveness),
+    ]
+    rng = np.random.default_rng(0)
+    for target, I, score in cases:
+        rep = score(target, I, mode="mc", samples=100_000, seed=3)
+        J = I if score is normalized_consistency else I.complement()
+        num_devs, den_devs = metrics._mc_deviations(target, J, 100_000, 3)
+        assert (num_devs.mean(), den_devs.mean()) == (rep.numerator, rep.denominator)
+        oracle = bootstrap_std_error(num_devs, den_devs, rng)
+        assert rep.std_error > 0.0
+        assert abs(rep.std_error - oracle) <= 0.2 * oracle, (target.direction, I, rep.std_error, oracle)
+
+
+def test_mc_single_sample_finite_score_without_warnings():
+    _, cand = rotation_world()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = normalized_restrictiveness(gen_target(cand), IndexSet.of([1], 3), mode="mc", samples=1)
+    assert np.isfinite(rep.score) and np.isnan(rep.std_error)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_mc_rejects_nonpositive_samples(samples):
+    _, cand = rotation_world()
+    with pytest.raises(MetricError):
+        normalized_consistency(gen_target(cand), IndexSet.of([1], 3), mode="mc", samples=samples)
+    _, model = schematic_world("consistent-not-restrictive")
+    with pytest.raises(MetricError):
+        holds(gen_target(model), Fact("C", IndexSet.of([1], 2)), mode="mc", samples=samples)
 
 
 def test_rotation_world_scores():

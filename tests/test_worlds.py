@@ -201,6 +201,48 @@ def test_identity_candidate(world22):
     assert model.apply_gen((1, 0)) == world22.generate((1, 0))
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [(-1, 0), (0, -1), (2, 0), (0, 2), (0,), (0, 0, 0), ()],
+    ids=["neg-first", "neg-second", "range-first", "range-second", "short", "long", "empty"],
+)
+def test_row_of_rejects_tuples_outside_the_factor_space(world22, factors):
+    with pytest.raises(ZeroMassConditioning):
+        world22.row_of(factors)  # negative values must not wrap to the last row
+
+
+def test_row_of_off_support_and_round_trip():
+    world, _ = schematic_world("zigzag-violation")
+    assert [world.row_of(t) for t in world.support] == list(range(world.support_size))
+    assert world.rows_of(world.support).tolist() == list(range(world.support_size))
+    with pytest.raises(ZeroMassConditioning):
+        world.row_of((0, 1, 0))
+    with pytest.raises(ZeroMassConditioning):
+        world.rows_of(np.array([[0, 0, 0], [1, 0, 1]]))
+
+
+def test_encode_inverts_generate_and_rejects_unknown_ids():
+    world = random_world(5, 2, [3, 3], 1.0)  # sparse support, scattered ids
+    for t in world.support:
+        assert world.encode(world.generate(t)) == tuple(int(v) for v in t)
+    for bad in (-1, world.support_size, 10**6):
+        with pytest.raises(WorldError):
+            world.encode(bad)
+
+
+@pytest.mark.parametrize("corr", [0.0, 0.5, 1.0])
+def test_candidate_observe_equals_per_row_apply_gen(corr):
+    rng = np.random.default_rng(int(corr * 10))
+    for _ in range(8):
+        n = int(rng.integers(1, 4))
+        cards = [int(rng.integers(2, 4)) for _ in range(n)]
+        world = random_world(int(rng.integers(2**31)), n, cards, corr)
+        model = CandidateModel(world, rng.permutation(world.support_size))
+        z = model.sample_latents(rng, 50)
+        expected = [model.apply_gen(tuple(int(v) for v in row)) for row in z]
+        assert model.observe(z).tolist() == expected
+
+
 # -- schematic worlds --------------------------------------------------------------------
 
 
@@ -239,3 +281,9 @@ def test_world_doc_malformed():
         world_from_doc({"version": 99, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]})
     with pytest.raises(ArityMismatch):
         world_from_doc({"version": 1, "n": 2, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]})
+
+
+@pytest.mark.parametrize("gen", [[0, "a"], [0, 1.5], [0, None], [0, True], "01"])
+def test_world_doc_non_integer_gen_rejected(gen):
+    with pytest.raises(WorldError):
+        world_from_doc({"version": 1, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": gen})
