@@ -19,6 +19,7 @@ from .calculus import closure, parse_facts
 from .continuous import rotation_world
 from .errors import DegenerateDenominator, DisentlabError
 from .indexset import IndexSet
+from .learner import MAX_ENUM_SUPPORT
 from .metrics import (
     EvaluationTarget,
     holds,
@@ -343,7 +344,7 @@ def calc(n_factors, axioms, query, show_closure, nuisance, fmt):
 @click.option("--theorems", is_flag=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=0), default=1000, show_default=True)
-@click.option("--support-max", default=6, show_default=True)
+@click.option("--support-max", type=click.IntRange(4, MAX_ENUM_SUPPORT), default=6, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=50000, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)

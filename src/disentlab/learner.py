@@ -23,9 +23,10 @@ as one row or pair of rows breaks a necessary condition of a table match:
 
 Each labeling and rank entry of the augmented table depends on one row or
 one pair, so there the conditions are the table comparison itself.  A
-match-pairing leaf is accepted by the exact sup-norm comparison with the
-oracle's kernel, computed with the same arithmetic as ``augmented_table``.
-The matched set is therefore the same, in the same order, as filtering
+match-pairing leaf is accepted by the exact sup-norm comparison of the
+candidate's table with the oracle's, both built by
+``supervision.dense_table``, the builder behind ``augmented_table``.  The
+matched set is therefore the same, in the same order, as filtering
 ``itertools.permutations`` through ``tables_match``.  The cap
 ``MAX_ENUM_SUPPORT`` still applies to the support size.
 """
@@ -43,9 +44,12 @@ from .metrics import EvaluationTarget, holds, mig
 from .calculus import Fact
 from .supervision import (
     MASS_TOL,
+    MATCH_PAIRING,
     RANK_PAIRING,
     RESTRICTED_LABELING,
     SupervisionSpec,
+    dense_table,
+    row_keys,
 )
 from .worlds import CandidateModel, DiscreteWorld
 
@@ -60,15 +64,6 @@ def _as_spec_list(specs) -> list[SupervisionSpec]:
     return list(specs)
 
 
-def _match_kernel(q: np.ndarray, gid: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """Dense match-pairing table over support rows with probabilities q:
-    entry (r, r2) is q[r] q[r2] / w for rows of one I-group of mass w, and
-    0 across groups.  ``bincount`` sums each group's mass in row order, as
-    ``augmented_table`` does, so the entries equal its dict's bit for bit."""
-    w = np.bincount(gid, weights=q)[gid]
-    return np.where(same, np.outer(q, q) / w[:, None], 0.0)
-
-
 def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float):
     """Row masks, pair masks and the leaf check of the backtracking search.
 
@@ -78,7 +73,6 @@ def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float)
     the table match exactly, else the exact check of a complete bijection.
     """
     m = world.support_size
-    support = world.support
     p = world.support_probs
     pp = np.outer(p, p)
     allowed = np.ones((m, m), dtype=bool)
@@ -86,22 +80,19 @@ def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float)
     kernels = []
     for spec in specs:
         kind, I = spec.validate_for(world)
-        cols = I.cols()
+        keys = row_keys(world.support, kind, I.cols())[0]
         if kind == RANK_PAIRING:
-            z = support[:, cols[0]]
-            y = z[:, None] >= z[None, :]
+            y = keys[:, None] >= keys
             ok &= (y[:, :, None, None] == y) | (pp <= tol)
             continue
-        gid = np.unique(support[:, cols], axis=0, return_inverse=True)[1].reshape(-1)
-        same = gid[:, None] == gid[None, :]
         if kind == RESTRICTED_LABELING:
-            allowed &= same | (p <= tol)
+            allowed &= (keys[:, None] == keys) | (p <= tol)
             continue
         # match pairing; a latent group's mass w is at most 1 up to
         # rounding, so p[j] p[j2] / w <= tol needs p[j] p[j2] <= 2 tol
-        kernel = _match_kernel(p, gid, same)
+        kernel, same = dense_table(MATCH_PAIRING, p, keys)
         ok &= np.where(same[:, :, None, None], same | (pp <= 2 * tol), kernel <= tol)
-        kernels.append((gid, same, kernel))
+        kernels.append((keys, kernel))
 
     bits = np.array([1 << j for j in range(m)], dtype=object)  # no width limit on m
     both = ok & ok.transpose(1, 0, 3, 2)
@@ -116,8 +107,8 @@ def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float)
         idx = np.array(perm)
         q = p[idx]
         return all(
-            np.abs(_match_kernel(q, gid, same) - kernel[idx[:, None], idx]).max() <= tol
-            for gid, same, kernel in kernels
+            np.abs(dense_table(MATCH_PAIRING, q, keys)[0] - kernel[idx[:, None], idx]).max() <= tol
+            for keys, kernel in kernels
         )
 
     return row_masks, into, accept

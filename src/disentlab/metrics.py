@@ -142,13 +142,11 @@ def _exact_stats(support, probs, mapped, cond_cols, measure_cols, cards):
     distributions.  Both are accumulated purely from products and squares
     of nonnegative floats.
     """
-    m = len(support)
-    if cond_cols:
-        _, inverse = np.unique(support[:, cond_cols], axis=0, return_inverse=True)
-        groups = int(inverse.max()) + 1
-    else:
-        inverse = np.zeros(m, dtype=np.int64)
-        groups = 1
+    key = np.zeros(len(support), dtype=np.int64)  # mixed radix: lexicographic group order
+    for c in cond_cols:
+        key = key * cards[c] + support[:, c]
+    _, inverse = np.unique(key, return_inverse=True)
+    groups = int(inverse.max()) + 1
     num = 0.0
     gap = 0.0
     for c in measure_cols:
@@ -198,8 +196,9 @@ def _run_chunks(fn, total: int, seq: np.random.SeedSequence) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _mc_deviations(target, I: IndexSet, samples: int, seed):
-    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample.
+def _mc_pairs(target, I: IndexSet, samples: int):
+    """(conditional-pair chunk, i.i.d.-pair chunk): functions of (rng, size)
+    giving one deviation per sampled pair.
 
     Discrete factors count differing coordinates (squared indicator
     distance); continuous factors use squared Euclidean distance.
@@ -207,7 +206,6 @@ def _mc_deviations(target, I: IndexSet, samples: int, seed):
     if samples < 1:
         raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
     cols, resample_cols = I.cols(), I.complement().cols()
-    seq_num, seq_den = np.random.SeedSequence(seed).spawn(2)
     sampler, measure = target.mc_parts()
 
     def distance(z, z2):
@@ -223,6 +221,14 @@ def _mc_deviations(target, I: IndexSet, samples: int, seed):
     def den_chunk(rng, m):
         return distance(sampler.sample_latents(rng, m), sampler.sample_latents(rng, m))
 
+    return num_chunk, den_chunk
+
+
+def _mc_deviations(target, I: IndexSet, samples: int, seed):
+    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample,
+    drawn from the first and second child of the seed's SeedSequence."""
+    num_chunk, den_chunk = _mc_pairs(target, I, samples)
+    seq_num, seq_den = np.random.SeedSequence(seed).spawn(2)
     return _run_chunks(num_chunk, samples, seq_num), _run_chunks(den_chunk, samples, seq_den)
 
 
@@ -306,8 +312,10 @@ def holds(
     def raw(J: IndexSet) -> float:
         if mode == "exact":
             return raw_consistency(target, J)
-        devs, _ = _mc_deviations(target, J, samples, seed)
-        return float(devs.mean())
+        # the conditional pairs of _mc_deviations alone, from its first child seed
+        num_chunk, _ = _mc_pairs(target, J, samples)
+        seq_num = np.random.SeedSequence(seed).spawn(1)[0]
+        return float(_run_chunks(num_chunk, samples, seq_num).mean())
 
     if fact.kind == "C":
         return raw(I) <= tol

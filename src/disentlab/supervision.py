@@ -7,16 +7,20 @@ plus the order indicator of one scalar factor.  Share pairing and change
 pairing are match-pairing specializations (share one factor / change one
 set, i.e. share its complement) and canonicalize accordingly.
 
-Tables are exact joint distributions computed by enumeration (discrete
-worlds); samplers stream i.i.d. records from the same processes and also
-cover the continuous family.
+Exact tables (discrete worlds) are dense arrays over oracle support rows,
+built by one array function that the learner shares; samplers stream
+i.i.d. records from the same processes and also cover the continuous
+family.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -108,89 +112,103 @@ class SupervisionSpec:
         return cls(_SHORT[head], indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedTable:
     """Exact joint distribution of one supervision family's records.
 
-    Outcomes are (x, s_I) for restricted labeling, ordered pairs (x, x')
-    for match pairing, and (x, x', y) for rank pairing, with x observation
-    ids.  Total mass is one within MASS_TOL.
+    ``table`` is dense and indexed by oracle support row (row j is
+    observation ``obs_ids[j]``): shape (m, G) for restricted labeling, one
+    column per distinct I-label; (m, m) for match pairing; (m, m, 2) for
+    rank pairing, the last axis being y.  ``outcomes`` marks the entries the
+    family can produce, ``axes`` names the values along each axis.  Total
+    mass is one within MASS_TOL.
     """
 
     kind: str
     index_set: IndexSet
-    mass: dict
+    table: np.ndarray
+    outcomes: np.ndarray
+    axes: tuple
 
     def __post_init__(self):
-        total = sum(self.mass.values())
+        total = float(self.table.sum())
         if abs(total - 1.0) > 1e-9:
             raise SupervisionError(f"augmented table mass {total!r} is not 1")
+        self.table.flags.writeable = False
+        self.outcomes.flags.writeable = False
+
+    @cached_property
+    def mass(self) -> Mapping:
+        """Read-only view: outcome (x, s_I), (x, x') or (x, x', y) -> mass,
+        with one key per producible outcome, zero masses included."""
+        return MappingProxyType({
+            tuple(axis[i] for axis, i in zip(self.axes, idx)): float(self.table[idx])
+            for idx in zip(*np.nonzero(self.outcomes))
+        })
 
     def marginal_x(self) -> dict:
-        out: dict = {}
-        for outcome, p in self.mass.items():
-            x = outcome[0]
-            out[x] = out.get(x, 0.0) + p
-        return out
-
-    def max_diff(self, other: "AugmentedTable") -> float:
-        keys = set(self.mass) | set(other.mass)
-        return max(abs(self.mass.get(k, 0.0) - other.mass.get(k, 0.0)) for k in keys)
+        rows = self.table.reshape(len(self.axes[0]), -1).sum(axis=1)
+        return dict(zip(self.axes[0], rows.tolist()))
 
 
 def tables_match(a: AugmentedTable, b: AugmentedTable, tol: float = MASS_TOL) -> bool:
-    """Whether two augmented tables agree within a sup-norm mass tolerance."""
+    """Whether two augmented tables of one world agree within a sup-norm
+    mass tolerance."""
     if a.kind != b.kind or a.index_set != b.index_set:
         raise KindMismatch(
             f"cannot compare {a.kind}{a.index_set} against {b.kind}{b.index_set}"
         )
-    return a.max_diff(b) <= tol
+    if a.axes != b.axes:
+        raise KindMismatch(f"cannot compare {a.kind}{a.index_set} tables of different worlds")
+    return float(np.abs(a.table - b.table).max()) <= tol
 
 
-def _latent_table(obj):
-    """(latent rows, probabilities, observation ids) for a world or model."""
-    if isinstance(obj, CandidateModel):
-        return obj.support, obj.probs, obj.base.obs_ids[obj.perm]
-    if isinstance(obj, DiscreteWorld):
-        return obj.support, obj.support_probs, obj.obs_ids
-    raise SupervisionError(f"exact tables need a discrete world or model, got {type(obj).__name__}")
+def row_keys(support: np.ndarray, kind: str, cols) -> tuple[np.ndarray, np.ndarray | None]:
+    """(key per support row, distinct I-labels).  The key is the row's
+    I-label group id for restricted labeling and match pairing (labels
+    ``None`` otherwise) and its ranked factor value for rank pairing."""
+    if kind == RANK_PAIRING:
+        return support[:, cols[0]], None
+    labels, gid = np.unique(support[:, cols], axis=0, return_inverse=True)
+    return gid.reshape(-1), labels
+
+
+def dense_table(kind: str, probs: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(augmented table, producible outcomes) over latent rows with
+    probabilities ``probs`` and ``row_keys`` keys.  A match-pairing entry
+    (r, r2) is probs[r] probs[r2] / w inside one I-group of mass w, which
+    ``bincount`` sums in row order."""
+    if kind == RESTRICTED_LABELING:
+        on = keys[:, None] == np.arange(keys.max() + 1)
+        return np.where(on, probs[:, None], 0.0), on
+    pp = probs[:, None] * probs
+    if kind == MATCH_PAIRING:
+        on = keys[:, None] == keys
+        w = np.bincount(keys, weights=probs)[keys]
+        return np.where(on, pp / w[:, None], 0.0), on
+    y = keys[:, None] >= keys
+    on = np.stack([~y, y], axis=-1)
+    return np.where(on, pp[:, :, None], 0.0), on
 
 
 def augmented_table(obj, spec: SupervisionSpec) -> AugmentedTable:
-    """Enumerate the exact augmented distribution of a world or candidate model."""
+    """The exact augmented distribution of a world or candidate model.  A
+    model's table is its latent-row table re-indexed through ``inv_perm``."""
     kind, I = spec.validate_for(obj)
-    latents, probs, obs = _latent_table(obj)
-    cols = I.cols()
-    mass: dict = {}
-
+    if isinstance(obj, CandidateModel):
+        world, probs, rows = obj.base, obj.probs, obj.inv_perm
+    elif isinstance(obj, DiscreteWorld):
+        world, probs, rows = obj, obj.support_probs, np.arange(obj.support_size)
+    else:
+        raise SupervisionError(f"exact tables need a discrete world or model, got {type(obj).__name__}")
+    keys, labels = row_keys(world.support, kind, I.cols())
+    table, on = dense_table(kind, probs, keys)
+    obs = tuple(world.obs_ids.tolist())
     if kind == RESTRICTED_LABELING:
-        for r in range(len(latents)):
-            key = (int(obs[r]), tuple(int(v) for v in latents[r, cols]))
-            mass[key] = mass.get(key, 0.0) + float(probs[r])
-    elif kind == MATCH_PAIRING:
-        keys = [tuple(int(v) for v in latents[r, cols]) for r in range(len(latents))]
-        group_mass: dict = {}
-        for r, key in enumerate(keys):
-            group_mass[key] = group_mass.get(key, 0.0) + float(probs[r])
-        rows_by_key: dict = {}
-        for r, key in enumerate(keys):
-            rows_by_key.setdefault(key, []).append(r)
-        for key, rows in rows_by_key.items():
-            w = group_mass[key]
-            for r in rows:
-                for r2 in rows:
-                    outcome = (int(obs[r]), int(obs[r2]))
-                    mass[outcome] = mass.get(outcome, 0.0) + float(probs[r]) * float(probs[r2]) / w
-    elif kind == RANK_PAIRING:
-        c = cols[0]
-        for r in range(len(latents)):
-            for r2 in range(len(latents)):
-                y = 1 if latents[r, c] >= latents[r2, c] else 0
-                outcome = (int(obs[r]), int(obs[r2]), y)
-                mass[outcome] = mass.get(outcome, 0.0) + float(probs[r]) * float(probs[r2])
-    else:  # pragma: no cover - canonical() restricts the kinds
-        raise SupervisionError(f"unsupported canonical kind {kind!r}")
-    return AugmentedTable(kind, I, mass)
+        at, axes = rows, (obs, tuple(map(tuple, labels.tolist())))
+    else:
+        at, axes = np.ix_(rows, rows), (obs, obs) if kind == MATCH_PAIRING else (obs, obs, (0, 1))
+    return AugmentedTable(kind, I, table[at], on[at], axes)
 
 
 # -- sampling -------------------------------------------------------------------

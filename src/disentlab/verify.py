@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations as _combinations
+from itertools import permutations
 
 import numpy as np
 
@@ -18,13 +19,16 @@ from .calculus import Fact, RuleGuard, closure, nuisance_closure
 from .continuous import rotation_world
 from .errors import SupportTooLarge
 from .indexset import IndexSet
-from .learner import enumerate_matched
+from .learner import enumerate_matched, find_violating_model, verify_guarantee
 from .metrics import (
+    EXACT_TOL,
     EvaluationTarget,
     holds,
     mc_match_check,
+    mig,
     normalized_consistency,
     normalized_restrictiveness,
+    raw_consistency,
 )
 from .supervision import SupervisionSpec
 from .worlds import (
@@ -32,6 +36,7 @@ from .worlds import (
     DiscreteWorld,
     random_world,
     schematic_world,
+    uniform_world,
     zigzag_connected_support,
 )
 
@@ -57,18 +62,18 @@ def check_fact_brute(world: DiscreteWorld, model: CandidateModel, fact: Fact, to
         q[z] = float(model.probs[r])
         phi[z] = tuple(int(v) for v in model.mapped[r])
     members = set(fact.index_set.members())
-    if fact.kind == "C":
-        return _brute_consistency_dev(q, phi, members, world.n) <= tol
-    if fact.kind == "R":
-        return _brute_restrictiveness_dev(q, phi, members, world.n) <= tol
-    return (
-        _brute_consistency_dev(q, phi, members, world.n) <= tol
-        and _brute_restrictiveness_dev(q, phi, members, world.n) <= tol
-    )
-
-
-def _brute_consistency_dev(q, phi, members, n) -> float:
     cols = [i - 1 for i in sorted(members)]
+    rest = [i - 1 for i in range(1, world.n + 1) if i not in members]
+    if fact.kind == "C":
+        return _brute_consistency_dev(q, phi, cols) <= tol
+    if fact.kind == "R":
+        return _brute_consistency_dev(q, phi, rest) <= tol
+    return _brute_consistency_dev(q, phi, cols) <= tol and _brute_consistency_dev(q, phi, rest) <= tol
+
+
+def _brute_consistency_dev(q, phi, cols) -> float:
+    """Deviation of the measured coordinates cols when the others are
+    resampled; restrictiveness of I is this over the complement of I."""
     mass_by_key = {}
     for z, pz in q.items():
         key = tuple(z[c] for c in cols)
@@ -81,23 +86,6 @@ def _brute_consistency_dev(q, phi, members, n) -> float:
                 continue
             weight = pz * pz2 / mass_by_key[key]
             total += weight * sum(1 for c in cols if phi[z][c] != phi[z2][c])
-    return total
-
-
-def _brute_restrictiveness_dev(q, phi, members, n) -> float:
-    rest = [i - 1 for i in range(1, n + 1) if i not in members]
-    mass_by_key = {}
-    for z, pz in q.items():
-        key = tuple(z[c] for c in rest)
-        mass_by_key[key] = mass_by_key.get(key, 0.0) + pz
-    total = 0.0
-    for z, pz in q.items():
-        key = tuple(z[c] for c in rest)
-        for z2, pz2 in q.items():
-            if tuple(z2[c] for c in rest) != key:
-                continue
-            weight = pz * pz2 / mass_by_key[key]
-            total += weight * sum(1 for c in rest if phi[z][c] != phi[z2][c])
     return total
 
 
@@ -205,15 +193,13 @@ class SweepReport:
 
 
 def _true_atoms(target: EvaluationTarget, n: int) -> set[tuple[str, int]]:
-    """Exact truth of every C/R atom over all 2^n index sets."""
-    truths = set()
-    for bits in range(1 << n):
-        I = IndexSet(n, bits)
-        if holds(target, Fact("C", I)):
-            truths.add(("C", bits))
-        if holds(target, Fact("R", I)):
-            truths.add(("R", bits))
-    return truths
+    """Exact truth of every C/R atom over all 2^n index sets: C(I) holds
+    when the raw consistency of I is zero, R(I) when that of ~I is."""
+    zero = [raw_consistency(target, IndexSet(n, bits)) <= EXACT_TOL for bits in range(1 << n)]
+    full = (1 << n) - 1
+    return {("C", bits) for bits in range(1 << n) if zero[bits]} | {
+        ("R", bits) for bits in range(1 << n) if zero[full ^ bits]
+    }
 
 
 def _sweep_trial(trial_seed: int, n_max: int, card_max: int) -> tuple[int, list[dict]]:
@@ -261,15 +247,13 @@ def soundness_sweep(
     return SweepReport(trials, checked, violations, seed)
 
 
-def exhaustive_bijection_sweep(world: DiscreteWorld, use_guard: bool = True) -> SweepReport:
-    """All bijections of one world, axioms = all true atoms, zero tolerance
-    for unsound derivations."""
+def exhaustive_bijection_sweep(world: DiscreteWorld) -> SweepReport:
+    """All bijections of one world, axioms = all true atoms, guarded
+    closure, zero tolerance for unsound derivations."""
     n = world.n
-    guard = zigzag_guard(world.support) if use_guard else None
+    guard = zigzag_guard(world.support)
     checked = 0
     violations = []
-    from itertools import permutations
-
     for perm in permutations(range(world.support_size)):
         model = CandidateModel(world, perm)
         target = EvaluationTarget.generator_based(model)
@@ -426,8 +410,6 @@ def _card_shapes(support_max: int) -> list[tuple[int, ...]]:
 def theorem_battery(support_max: int = 6, seed: int = 0) -> list[DiscreteWorld]:
     """Worlds with enumerable supports: per shape one uniform prior, one
     correlated prior, and one degenerate diagonal-support prior."""
-    from .worlds import uniform_world
-
     worlds = []
     rng = np.random.default_rng(seed)
     for shape in _card_shapes(support_max):
@@ -464,16 +446,13 @@ def verify_theorem_guarantees(support_max: int = 6, seed: int = 0) -> Verificati
     full disentanglement: complete share pairing forces a perfect
     information gap, while unsupervised matching admits a collapsed one.
     """
-    from .learner import find_violating_model, verify_guarantee
-    from .metrics import mig
-    from .worlds import uniform_world
-
     report = VerificationReport()
+    battery = theorem_battery(support_max, seed)
 
     cases = 0
     matched_total = 0
     failures: list[str] = []
-    for world in theorem_battery(support_max, seed):
+    for world in battery:
         for spec in battery_specs(world):
             res = verify_guarantee(world, spec)
             cases += 1
@@ -505,7 +484,7 @@ def verify_theorem_guarantees(support_max: int = 6, seed: int = 0) -> Verificati
 
     share_ok = True
     share_cases = 0
-    for world in theorem_battery(support_max, seed):
+    for world in battery:
         full = world.support_size == int(np.prod(world.cards))
         if world.n < 2 or not full or np.ptp(world.support_probs) > 0:
             continue  # the perfect-gap claim needs independent factors

@@ -196,10 +196,14 @@ CNR = ["--world", "consistent-not-restrictive"]
         ["dataset", *CNR, "--spec", "share:1", "--out", "{tmp}"],
         ["calc", "--n", "2", "--nuisance", "--query", "Ceta{5}"],
         ["verify", "--counterexamples", "--samples", "0"],
+        ["verify", "--theorems", "--support-max", "0"],
+        ["verify", "--theorems", "--support-max", "3"],
+        ["verify", "--theorems", "--support-max", "9"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "exact-on-continuous", "world-arity", "world-directory", "spec-token", "out-directory",
-         "eta-query-range", "verify-samples-zero"],
+         "eta-query-range", "verify-samples-zero", "support-max-zero", "support-max-three",
+         "support-max-nine"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     (tmp_path / "arity.json").write_text(
@@ -348,6 +352,12 @@ def test_verify_counterexamples(runner):
     res = runner.invoke(main, ["verify", "--counterexamples", "--samples", "20000"])
     assert res.exit_code == 0
     assert res.output.count("[PASS]") == 5
+
+
+def test_verify_theorems_smallest_support_max(runner):
+    res = runner.invoke(main, ["verify", "--theorems", "--support-max", "4"])
+    assert res.exit_code == 0
+    assert "[PASS] complete-share-perfect-information-gap" in res.output
 
 
 def test_verify_sweep_zero_trials(runner):

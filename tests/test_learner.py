@@ -1,28 +1,25 @@
 from itertools import permutations
 
-import numpy as np
 import pytest
 
 from disentlab import (
     CandidateModel,
-    DiscreteWorld,
     EvaluationTarget,
     Fact,
     IndexSet,
     SupervisionSpec,
-    augmented_table,
     check_informativeness,
     enumerate_matched,
     find_violating_model,
     holds,
     matched_report,
-    tables_match,
     uniform_world,
     verify_guarantee,
 )
 from disentlab import learner
 from disentlab.errors import SupportTooLarge
 from disentlab.verify import battery_specs, theorem_battery
+from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
 
 
 def spec(kind, *indices):
@@ -30,13 +27,15 @@ def spec(kind, *indices):
 
 
 def brute_matched(world, specs):
-    """Reference enumerator: every bijection whose tables match the oracle's."""
-    refs = [augmented_table(world, s) for s in specs]
+    """Reference enumerator: every bijection whose tables match the oracle's,
+    by the dictionary-loop reference tables (the learner shares its table
+    builder with ``augmented_table``, so that cannot serve as the oracle)."""
+    refs = [reference_table(world, s) for s in specs]
     return [
         perm
         for perm in permutations(range(world.support_size))
         if all(
-            tables_match(augmented_table(CandidateModel(world, perm), s), ref)
+            reference_match(reference_table(CandidateModel(world, perm), s), ref)
             for s, ref in zip(specs, refs)
         )
     ]
@@ -48,21 +47,6 @@ def matched_perms(world, specs):
 
 def complete_share(n):
     return [spec("share-pairing", i) for i in range(1, n + 1)]
-
-
-# off-diagonal rows carry mass 1e-13 <= MASS_TOL, so bijections that break the
-# labeling on them still match: 8 for label:1 where only 4 preserve the label
-TOLERANCE_EDGE = DiscreteWorld(
-    (2, 2), [[0.5 - 1e-13, 1e-13], [1e-13, 0.5 - 1e-13]], np.arange(4)
-)
-
-# the light rows of the two factor-1 groups (mass 9e-13 and 1e-14) may trade
-# places under every row and pair condition, but the shifted group masses
-# move the heavy rows' table entries past MASS_TOL: only the exact check of
-# the complete bijection rejects those 72 of 432 for share:1
-GROUP_MASS_EDGE = DiscreteWorld(
-    (2, 3), [[0.5 - 1.8e-12, 9e-13, 9e-13], [0.5 - 2e-14, 1e-14, 1e-14]], np.arange(6)
-)
 
 
 @pytest.mark.parametrize("seed", [11, 13])

@@ -299,6 +299,27 @@ def test_holds_mc_mode_on_rotation():
     assert not holds(target, Fact("R", I1), tol=1e-3, mode="mc", samples=20000, seed=0)
 
 
+def test_holds_mc_draws_only_conditional_pairs(xor_model, monkeypatch):
+    drawn = []
+
+    def counting(method):
+        def wrapper(self, *args):
+            out = method(self, *args)
+            drawn.append(len(out))
+            return out
+
+        return wrapper
+
+    for name in ("sample_latents", "resample_latents"):
+        monkeypatch.setattr(CandidateModel, name, counting(getattr(CandidateModel, name)))
+    target, I2 = gen_target(xor_model), IndexSet.of([2], 2)
+    dev = float(metrics._mc_deviations(target, I2, 1000, 4)[0].mean())
+    drawn.clear()
+    assert holds(target, Fact("C", I2), tol=dev, mode="mc", samples=1000, seed=4)
+    assert sum(drawn) == 2 * 1000  # one latent and one resampled partner per sample
+    assert not holds(target, Fact("C", I2), tol=np.nextafter(dev, 0.0), mode="mc", samples=1000, seed=4)
+
+
 # -- mutual information gap ---------------------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
 import math
 from collections import Counter
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from disentlab import (
     CandidateModel,
+    DiscreteWorld,
     SupervisionSpec,
     augmented_table,
     random_world,
@@ -21,6 +24,8 @@ from disentlab.errors import (
     UnorderedFactorForRank,
 )
 from disentlab.supervision import MATCH_PAIRING
+from disentlab.verify import battery_specs, theorem_battery
+from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
 
 
 def spec(kind, *indices):
@@ -104,6 +109,60 @@ def test_kind_mismatch_raises(world22):
     b = augmented_table(world22, spec("share-pairing", 2))
     with pytest.raises(KindMismatch):
         tables_match(a, b)
+
+
+def test_tables_of_different_worlds_raise():
+    a = augmented_table(uniform_world((2, 2)), spec("share-pairing", 1))
+    b = augmented_table(random_world(3, 2, [2, 2], 0.0), spec("share-pairing", 1))
+    assert a.axes != b.axes
+    with pytest.raises(KindMismatch):
+        tables_match(a, b)
+
+
+def test_mass_view_is_read_only(world22):
+    table = augmented_table(world22, spec("restricted-labeling", 1))
+    with pytest.raises(TypeError):
+        table.mass[(0, (0,))] = 1.0
+    with pytest.raises(ValueError):
+        table.table[0, 0] = 1.0
+
+
+# pair masses 1e-170 * 1e-170 underflow to 0.0; their outcomes must keep a key
+UNDERFLOW = DiscreteWorld((2, 2), [[1e-170, 1e-170], [1e-170, 1.0 - 3e-170]], np.arange(4))
+
+
+def _assert_tables_equal_reference(world, perms):
+    """The dense table's mass view equals the dictionary-loop reference key
+    for key and float.hex for float.hex, and tables_match gives the
+    reference verdict, for every battery spec and bijection."""
+    for s in battery_specs(world):
+        oracle, oracle_ref = augmented_table(world, s), reference_table(world, s)
+        for perm in perms:
+            model = CandidateModel(world, perm)
+            table, ref = augmented_table(model, s), reference_table(model, s)
+            assert set(table.mass) == set(ref), (world, s, perm)
+            assert all(table.mass[k].hex() == ref[k].hex() for k in ref), (world, s, perm)
+            verdict = tables_match(table, oracle)
+            assert verdict == reference_match(ref, oracle_ref), (world, s, perm)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 13])
+def test_tables_equal_reference_on_battery(seed):
+    rng = np.random.default_rng(seed)
+    for world in theorem_battery(6, seed):
+        m = world.support_size
+        _assert_tables_equal_reference(world, [np.arange(m)] + [rng.permutation(m) for _ in range(3)])
+
+
+@pytest.mark.parametrize("world", [TOLERANCE_EDGE, GROUP_MASS_EDGE, UNDERFLOW],
+                         ids=["tolerance-edge", "group-mass-edge", "underflow"])
+def test_tables_equal_reference_over_all_bijections(world):
+    _assert_tables_equal_reference(world, list(permutations(range(world.support_size))))
+
+
+def test_underflowed_outcomes_keep_their_keys():
+    table = augmented_table(UNDERFLOW, spec("rank-pairing", 1))
+    assert len(table.mass) == 16 and table.mass[(0, 1, 1)] == 0.0
 
 
 def test_match_table_is_exchangeable():
