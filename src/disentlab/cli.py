@@ -98,7 +98,34 @@ def _emit_records(records: list[dict], fmt: str):
         click.echo("  ".join(f"{k}={v}" for k, v in rec.items()))
 
 
-@click.group()
+class _OneLineErrors(click.Group):
+    """A command group whose usage errors print only their ``Error:`` line
+    (exit code 2).  ``UsageError.show`` prints the usage and a help hint
+    above the message when the error has a context, so that context is
+    dropped; errors that show themselves otherwise, such as the help page of
+    a bare group, keep it.  Subcommand errors pass through ``invoke``."""
+
+    @staticmethod
+    def _drop_context(exc: click.UsageError):
+        if type(exc).show is click.UsageError.show:
+            exc.ctx = None
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            self._drop_context(exc)
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            self._drop_context(exc)
+            raise
+
+
+@click.group(cls=_OneLineErrors)
 def main():
     """Verification lab for weakly supervised disentanglement."""
 

@@ -22,25 +22,30 @@ as one row or pair of rows breaks a necessary condition of a table match:
   size may trade places, so the I-projection need not be preserved.
 
 Each labeling and rank entry of the augmented table depends on one row or
-one pair, so there the conditions are the table comparison itself.  A
-match-pairing leaf is accepted by the exact sup-norm comparison of the
-candidate's table with the oracle's, both built by
-``supervision.dense_table``, the builder behind ``augmented_table``.  The
-matched set is therefore the same, in the same order, as filtering
-``itertools.permutations`` through ``tables_match``.  The cap
-``MAX_ENUM_SUPPORT`` still applies to the support size.
+one pair, so there the conditions are the table comparison itself.
+Match-pairing leaves are accepted ``LEAF_CHUNK`` at a time by one
+vectorised exact sup-norm comparison of the candidates' tables with the
+oracle's, all built by ``supervision.dense_table``, the builder behind
+``augmented_table``.  The matched set is therefore the same, in the same
+order, as filtering ``itertools.permutations`` through ``tables_match``.
+The cap ``MAX_ENUM_SUPPORT`` still applies to the support size.
+
+Guarantee checks take the matched set as one (k, m) array of bijections
+(``matched_perms``) and get its verdicts from the batched exact engine
+(``metrics.generator_holds``), building no candidate model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DisentlabError, SupportTooLarge
 from .indexset import IndexSet
-from .metrics import EvaluationTarget, holds, mig
+from .metrics import EvaluationTarget, generator_holds, holds, mig
 from .calculus import Fact
 from .supervision import (
     MASS_TOL,
@@ -54,6 +59,7 @@ from .supervision import (
 from .worlds import CandidateModel, DiscreteWorld
 
 MAX_ENUM_SUPPORT = 8  # 8! = 40320 bijections
+LEAF_CHUNK = 512  # leaves per vectorised leaf check: at most 512 m^2 floats per array
 
 
 def _as_spec_list(specs) -> list[SupervisionSpec]:
@@ -65,12 +71,14 @@ def _as_spec_list(specs) -> list[SupervisionSpec]:
 
 
 def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float):
-    """Row masks, pair masks and the leaf check of the backtracking search.
+    """Row masks and pair masks of the backtracking search, plus the
+    match-pairing kernels its leaves are checked against.
 
     ``row_masks[i]`` has bit j set when latent row i may map to oracle row
     j.  ``into[k][i][j]`` has bit j2 set when latent rows (i, k), i < k, may
-    map to oracle rows (j, j2).  ``accept`` is None when the masks decide
-    the table match exactly, else the exact check of a complete bijection.
+    map to oracle rows (j, j2).  ``kernels`` holds (group keys, oracle
+    table) per match-pairing spec; with none, the masks decide the table
+    match exactly.
     """
     m = world.support_size
     p = world.support_probs
@@ -99,24 +107,13 @@ def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float)
     pair_masks = (both @ bits).transpose(1, 0, 2).tolist()  # [k][i][j]
     into = [pair_masks[k][:k] for k in range(m)]
     row_masks = (allowed @ bits).tolist()
-
-    if not kernels:
-        return row_masks, into, None
-
-    def accept(perm: list[int]) -> bool:
-        idx = np.array(perm)
-        q = p[idx]
-        return all(
-            np.abs(dense_table(MATCH_PAIRING, q, keys)[0] - kernel[idx[:, None], idx]).max() <= tol
-            for keys, kernel in kernels
-        )
-
-    return row_masks, into, accept
+    return row_masks, into, kernels
 
 
-def _search(m: int, row_masks, into, accept) -> Iterator[tuple[int, ...]]:
-    """Depth-first search over bijections in lexicographic order, which is
-    the order of ``itertools.permutations(range(m))``."""
+def _search(m: int, row_masks, into) -> Iterator[tuple[int, ...]]:
+    """Depth-first search over the bijections the masks admit, in
+    lexicographic order, which is the order of
+    ``itertools.permutations(range(m))``."""
     perm = [0] * m
     todo = [0] * m  # per depth: targets not yet tried
     todo[0] = row_masks[0]
@@ -134,8 +131,7 @@ def _search(m: int, row_masks, into, accept) -> Iterator[tuple[int, ...]]:
         todo[d] = options ^ low
         perm[d] = low.bit_length() - 1
         if d == last:
-            if accept is None or accept(perm):
-                yield tuple(perm)
+            yield tuple(perm)
             continue
         used |= low
         d += 1
@@ -143,6 +139,42 @@ def _search(m: int, row_masks, into, accept) -> Iterator[tuple[int, ...]]:
         for i, masks in enumerate(into[d]):
             mask &= masks[perm[i]]
         todo[d] = mask
+
+
+def _accepted(p, leaves, m: int, kernels, tol: float) -> Iterator[np.ndarray]:
+    """Chunks (c, m) of the mask-surviving ``leaves`` whose match-pairing
+    tables equal the oracle's kernels: one vectorised sup-norm per chunk."""
+    while True:
+        perms = np.array(list(islice(leaves, LEAF_CHUNK)), dtype=np.int64).reshape(-1, m)
+        if not len(perms):
+            return
+        for keys, kernel in kernels:
+            table = dense_table(MATCH_PAIRING, p[perms], keys)[0]
+            dev = np.abs(table - kernel[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
+            perms = perms[dev <= tol]
+        yield perms
+
+
+def _matched_chunks(world: DiscreteWorld, specs, tol: float, max_support: int) -> Iterator[np.ndarray]:
+    """The matched bijections as (c, m) arrays, in ``itertools.permutations``
+    order.  The support cap and the specs are checked at the call."""
+    m = world.support_size
+    if m > max_support:
+        raise SupportTooLarge(f"support {m} exceeds enumeration cap {max_support}")
+    row_masks, into, kernels = _constraints(world, _as_spec_list(specs), tol)
+    return _accepted(world.support_probs, _search(m, row_masks, into), m, kernels, tol)
+
+
+def matched_perms(
+    world: DiscreteWorld,
+    specs=None,
+    tol: float = MASS_TOL,
+    max_support: int = MAX_ENUM_SUPPORT,
+) -> np.ndarray:
+    """The matched set as one (k, m) array of support bijections, row i
+    being the bijection of ``enumerate_matched(...)[i]``; no model is built."""
+    chunks = list(_matched_chunks(world, specs, tol, max_support))
+    return np.concatenate(chunks) if chunks else np.empty((0, world.support_size), dtype=np.int64)
 
 
 def iter_matched(
@@ -154,11 +186,8 @@ def iter_matched(
     """Lazily yield the matched candidates in ``itertools.permutations``
     order of their bijections.  The support cap and the specs are checked
     at the call; a candidate model is built only once it is matched."""
-    m = world.support_size
-    if m > max_support:
-        raise SupportTooLarge(f"support {m} exceeds enumeration cap {max_support}")
-    masks = _constraints(world, _as_spec_list(specs), tol)
-    return (CandidateModel(world, perm) for perm in _search(m, *masks))
+    chunks = _matched_chunks(world, specs, tol, max_support)
+    return (CandidateModel(world, perm) for perms in chunks for perm in perms)
 
 
 def enumerate_matched(
@@ -207,13 +236,10 @@ def verify_guarantee(
     index set of the supervision (for change pairing that set is the
     complement of the changed factors, hence restrictiveness on them)."""
     guaranteed = Fact("C", spec.guaranteed_index_set(world.n))
-    matched = enumerate_matched(world, [spec], max_support=max_support)
-    bad = tuple(
-        tuple(int(v) for v in model.perm)
-        for model in matched
-        if not holds(EvaluationTarget.generator_based(model), guaranteed)
-    )
-    return GuaranteeReport(spec, guaranteed, len(matched), bad)
+    perms = matched_perms(world, [spec], max_support=max_support)
+    ok = generator_holds(world, perms, guaranteed)
+    bad = tuple(tuple(perm) for perm in perms[~ok].tolist())
+    return GuaranteeReport(spec, guaranteed, len(perms), bad)
 
 
 def find_violating_model(
@@ -254,21 +280,15 @@ def matched_report(
     """Per-candidate summary of the matched set: bijection, single-factor
     facts satisfied, and the mutual information gap."""
     specs = _as_spec_list(specs)
-    rows = []
-    for model in enumerate_matched(world, specs, max_support=max_support):
-        target = EvaluationTarget.generator_based(model)
-        sats = []
-        for i in range(1, world.n + 1):
-            I = IndexSet.of([i], world.n)
-            for kind in ("C", "R", "D"):
-                if holds(target, Fact(kind, I)):
-                    sats.append(f"{kind}{I}")
-        rows.append(
-            {
-                "perm": [int(v) for v in model.perm],
-                "specs": [s.to_string() for s in specs],
-                "facts": sats,
-                "mig": list(mig(target).per_factor),
-            }
-        )
-    return rows
+    perms = matched_perms(world, specs, max_support=max_support)
+    facts = [Fact(kind, IndexSet.of([i], world.n)) for i in range(1, world.n + 1) for kind in "CRD"]
+    verdicts = [generator_holds(world, perms, fact) for fact in facts]
+    return [
+        {
+            "perm": perm.tolist(),
+            "specs": [s.to_string() for s in specs],
+            "facts": [f"{fact.kind}{fact.index_set}" for fact, ok in zip(facts, verdicts) if ok[r]],
+            "mig": list(mig(EvaluationTarget.generator_based(CandidateModel(world, perm))).per_factor),
+        }
+        for r, perm in enumerate(perms)
+    ]

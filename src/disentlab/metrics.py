@@ -133,32 +133,72 @@ class EvaluationTarget:
 
 
 def _exact_stats(support, probs, mapped, cond_cols, measure_cols, cards):
-    """(numerator, gap) of the conditional-resampling deviation.
+    """(numerator, gap) of the conditional-resampling deviation, one per
+    model for models sharing one latent support: ``probs`` is (..., m) and
+    ``mapped`` (..., m, n), so a single model has no batch axis.
 
     numerator = sum over conditioning groups of the within-group
     probability that an i.i.d. pair of measured values differs, per
     measured coordinate; gap = denominator - numerator, expanded as the
     group-weighted squared distance between conditional and marginal value
     distributions.  Both are accumulated purely from products and squares
-    of nonnegative floats.
+    of nonnegative floats, with the same reductions for every batch shape.
     """
     key = np.zeros(len(support), dtype=np.int64)  # mixed radix: lexicographic group order
+    size = 1
     for c in cond_cols:
         key = key * cards[c] + support[:, c]
-    _, inverse = np.unique(key, return_inverse=True)
-    groups = int(inverse.max()) + 1
-    num = 0.0
-    gap = 0.0
+        size *= cards[c]
+    seen = np.zeros(size, dtype=bool)  # no larger than the world's dense row index
+    seen[key] = True
+    rank = np.cumsum(seen) - 1
+    inverse, groups = rank[key], int(rank[-1]) + 1
+    batch = probs.shape[:-1]
+    k = probs.size // len(support)
+    cells = np.arange(k).reshape(batch + (1,)) * groups + inverse  # (model, group) per row
+    num = gap = np.zeros(batch)
     for c in measure_cols:
-        table = np.zeros((groups, cards[c]))
-        np.add.at(table, (inverse, mapped[:, c]), probs)
-        w = table.sum(axis=1)
-        cond = table / w[:, None]
-        row_sum = cond.sum(axis=1)
-        num += float((w * (cond * (row_sum[:, None] - cond)).sum(axis=1)).sum())
-        marginal = (w[:, None] * cond).sum(axis=0)
-        gap += float((w[:, None] * (cond - marginal[None, :]) ** 2).sum())
+        bins = (cells * cards[c] + mapped[..., c]).ravel()
+        table = np.bincount(bins, weights=probs.ravel(), minlength=k * groups * cards[c])
+        table = table.reshape(batch + (groups, cards[c]))
+        w = table.sum(axis=-1)
+        cond = table / w[..., None]
+        row_sum = cond.sum(axis=-1)
+        num = num + (w * (cond * (row_sum[..., None] - cond)).sum(axis=-1)).sum(axis=-1)
+        marginal = (w[..., None] * cond).sum(axis=-2)
+        gap = gap + (w[..., None] * (cond - marginal[..., None, :]) ** 2).sum(axis=(-2, -1))
     return num, gap
+
+
+def _fact_verdicts(raw, fact: Fact, tol: float):
+    """Verdicts of a C/R/D fact from ``raw(J)``, the raw consistency of J
+    (a float or one per model).  D(I) skips ~I when no model passes I."""
+    I = fact.index_set
+    if fact.kind not in ("C", "R", "D"):
+        raise MetricError(f"unknown fact kind {fact.kind!r}")
+    ok = raw(I.complement() if fact.kind == "R" else I) <= tol
+    if fact.kind == "D" and np.any(ok):
+        ok = ok & (raw(I.complement()) <= tol)
+    return ok
+
+
+def generator_raw_consistency(world, perms, I: IndexSet) -> np.ndarray:
+    """Exact raw consistency of I for the generator-based target of every
+    ``CandidateModel(world, perms[i])``, from one (k, m) array of support
+    bijections; entry i equals ``raw_consistency`` on that model."""
+    perms = np.asarray(perms, dtype=np.int64).reshape(-1, world.support_size)
+    if I.n != world.n or I.nuisance:
+        raise ArityMismatch(f"index set {I!r} does not match target arity {world.n}")
+    support = world.support
+    cols = I.cols()
+    return _exact_stats(support, world.support_probs[perms], support[perms], cols, cols, world.cards)[0]
+
+
+def generator_holds(world, perms, fact: Fact, tol: float = EXACT_TOL) -> np.ndarray:
+    """Exact verdicts of one fact for the generator-based targets of the
+    models with bijections ``perms`` (k, m); entry i equals ``holds`` on
+    ``CandidateModel(world, perms[i])``."""
+    return _fact_verdicts(lambda J: generator_raw_consistency(world, perms, J), fact, tol)
 
 
 def raw_consistency(target: EvaluationTarget, I: IndexSet) -> float:
@@ -167,7 +207,7 @@ def raw_consistency(target: EvaluationTarget, I: IndexSet) -> float:
     target.check_index_set(I)
     support, probs, mapped, cards = target.exact_view()
     num, _ = _exact_stats(support, probs, mapped, I.cols(), I.cols(), cards)
-    return num
+    return float(num)
 
 
 def raw_restrictiveness(target: EvaluationTarget, I: IndexSet) -> float:
@@ -249,7 +289,7 @@ def _ratio_std_error(num_devs, den_devs) -> float:
 def _normalized(target, I, kind, report_set, mode, samples, seed):
     if mode == "exact":
         support, probs, mapped, cards = target.exact_view()
-        num, gap = _exact_stats(support, probs, mapped, I.cols(), I.cols(), cards)
+        num, gap = map(float, _exact_stats(support, probs, mapped, I.cols(), I.cols(), cards))
         den = num + gap
         if den <= DEGENERACY_THRESHOLD:
             raise DegenerateDenominator(
@@ -306,24 +346,19 @@ def holds(
 ) -> bool:
     """Whether a C/R/D fact holds: the defining raw deviation(s) are zero
     within tol.  D(I) requires both; the empty set holds vacuously."""
-    I = fact.index_set
-    target.check_index_set(I)
+    target.check_index_set(fact.index_set)
+    if mode == "exact":
+        return bool(_fact_verdicts(lambda J: raw_consistency(target, J), fact, tol))
+    if mode != "mc":
+        raise MetricError(f"unknown mode {mode!r}; expected 'exact' or 'mc'")
 
     def raw(J: IndexSet) -> float:
-        if mode == "exact":
-            return raw_consistency(target, J)
         # the conditional pairs of _mc_deviations alone, from its first child seed
         num_chunk, _ = _mc_pairs(target, J, samples)
         seq_num = np.random.SeedSequence(seed).spawn(1)[0]
         return float(_run_chunks(num_chunk, samples, seq_num).mean())
 
-    if fact.kind == "C":
-        return raw(I) <= tol
-    if fact.kind == "R":
-        return raw(I.complement()) <= tol
-    if fact.kind == "D":
-        return raw(I) <= tol and raw(I.complement()) <= tol
-    raise MetricError(f"unknown fact kind {fact.kind!r}")
+    return bool(_fact_verdicts(raw, fact, tol))
 
 
 # -- mutual information gap ------------------------------------------------------------

@@ -175,20 +175,25 @@ def row_keys(support: np.ndarray, kind: str, cols) -> tuple[np.ndarray, np.ndarr
 
 def dense_table(kind: str, probs: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(augmented table, producible outcomes) over latent rows with
-    probabilities ``probs`` and ``row_keys`` keys.  A match-pairing entry
-    (r, r2) is probs[r] probs[r2] / w inside one I-group of mass w, which
-    ``bincount`` sums in row order."""
+    probabilities ``probs`` and ``row_keys`` keys.  ``probs`` may carry
+    leading batch axes, shape (..., m); the tables then carry them too and
+    the outcomes, which depend on the keys only, do not.  A match-pairing
+    entry (r, r2) is probs[r] probs[r2] / w inside one I-group of mass w,
+    which ``bincount`` sums in row order."""
     if kind == RESTRICTED_LABELING:
         on = keys[:, None] == np.arange(keys.max() + 1)
-        return np.where(on, probs[:, None], 0.0), on
-    pp = probs[:, None] * probs
+        return np.where(on, probs[..., None], 0.0), on
+    pp = probs[..., :, None] * probs[..., None, :]
     if kind == MATCH_PAIRING:
         on = keys[:, None] == keys
-        w = np.bincount(keys, weights=probs)[keys]
-        return np.where(on, pp / w[:, None], 0.0), on
+        groups = keys.max() + 1
+        k = probs.size // len(keys)
+        cells = np.arange(k).reshape(probs.shape[:-1] + (1,)) * groups + keys  # (model, group) per row
+        w = np.bincount(cells.ravel(), weights=probs.ravel(), minlength=k * groups)[cells]
+        return np.where(on, pp / w[..., :, None], 0.0), on
     y = keys[:, None] >= keys
     on = np.stack([~y, y], axis=-1)
-    return np.where(on, pp[:, :, None], 0.0), on
+    return np.where(on, pp[..., None], 0.0), on
 
 
 def augmented_table(obj, spec: SupervisionSpec) -> AugmentedTable:

@@ -19,10 +19,11 @@ from .calculus import Fact, RuleGuard, closure, nuisance_closure
 from .continuous import rotation_world
 from .errors import SupportTooLarge
 from .indexset import IndexSet
-from .learner import enumerate_matched, find_violating_model, verify_guarantee
+from .learner import enumerate_matched, find_violating_model, matched_perms, verify_guarantee
 from .metrics import (
     EXACT_TOL,
     EvaluationTarget,
+    generator_holds,
     holds,
     mc_match_check,
     mig,
@@ -469,17 +470,15 @@ def verify_theorem_guarantees(support_max: int = 6, seed: int = 0) -> Verificati
 
     world22 = uniform_world((2, 2))
     label1 = SupervisionSpec("restricted-labeling", (1,))
-    matched = enumerate_matched(world22, [label1])
+    matched = matched_perms(world22, [label1])
     r1 = Fact("R", IndexSet.of([1], 2))
-    violators = [
-        m for m in matched if not holds(EvaluationTarget.generator_based(m), r1)
-    ]
+    violators = int((~generator_holds(world22, matched, r1)).sum())
     witness = find_violating_model(world22, [label1], r1)
     report.add(
         "impossibility-witness-counts",
-        len(matched) == 4 and len(violators) == 2 and witness is not None,
-        statistic=float(len(violators)),
-        detail=f"matched={len(matched)} violators={len(violators)}",
+        len(matched) == 4 and violators == 2 and witness is not None,
+        statistic=float(violators),
+        detail=f"matched={len(matched)} violators={violators}",
     )
 
     share_ok = True
@@ -535,16 +534,12 @@ def check_nuisance_guarantee(world: DiscreteWorld, supervised: int) -> Verificat
     report.add("nuisance-closure-derives-eta-disentanglement", closure_ok)
 
     specs = [SupervisionSpec("share-pairing", (i,)) for i in range(1, supervised + 1)]
-    matched = enumerate_matched(world, specs)
-    bad = 0
-    for model in matched:
-        target = EvaluationTarget.generator_based(model)
-        for i in range(1, supervised + 1):
-            c_ok = holds(target, Fact("C", IndexSet.of([i], n)))
-            r_ok = holds(target, Fact("R", IndexSet.of([i, n], n)))
-            if not (c_ok and r_ok):
-                bad += 1
-                break
+    matched = matched_perms(world, specs)
+    ok = np.ones(len(matched), dtype=bool)
+    for i in range(1, supervised + 1):
+        ok &= generator_holds(world, matched, Fact("C", IndexSet.of([i], n)))
+        ok &= generator_holds(world, matched, Fact("R", IndexSet.of([i, n], n)))
+    bad = int((~ok).sum())
     report.add(
         "nuisance-matched-set-eta-disentangled",
         bad == 0 and len(matched) > 0,

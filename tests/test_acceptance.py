@@ -126,7 +126,7 @@ def test_criterion_4_calculus_soundness_sweep():
 
 
 def test_criterion_5_theorem_guarantee_universality():
-    c = Criterion(5, "every matched candidate satisfies the guaranteed fact", 8)
+    c = Criterion(5, "every matched candidate satisfies the guaranteed fact", 1.0)
     cases = 0
     matched_total = 0
     bad = []
@@ -212,7 +212,7 @@ def test_criterion_8_mc_agrees_with_exact():
 
 
 def test_criterion_9_nuisance_rule():
-    c = Criterion(9, "eta-consistency on all factors yields eta-disentanglement", 0.3)
+    c = Criterion(9, "eta-consistency on all factors yields eta-disentanglement", 0.05)
     closure_ok = True
     for n in range(1, 5):
         fs = nuisance_closure(

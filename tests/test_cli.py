@@ -211,7 +211,14 @@ def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     )
     res = runner.invoke(main, [a.replace("{tmp}", str(tmp_path)) for a in args])
     assert res.exit_code == 2 and isinstance(res.exception, (SystemExit, type(None)))
-    assert "Traceback" not in res.output and res.output.strip().splitlines()[-1].startswith("Error:")
+    lines = [line for line in res.output.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
+
+
+@pytest.mark.parametrize("args", [[], ["world"]], ids=["top", "world"])
+def test_bare_group_prints_its_help(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and res.output.startswith("Usage:") and "Commands:" in res.output
 
 
 def test_score_world_with_non_integer_gen_exits_two(runner, tmp_path):

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -20,6 +21,8 @@ from disentlab import learner
 from disentlab.errors import SupportTooLarge
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
+
+CAP_BUDGET_S = 3.0  # about 3x the largest time measured at support 8 (1.0 s, two competing processes on 2 CPUs)
 
 
 def spec(kind, *indices):
@@ -74,6 +77,17 @@ def test_matched_lists_equal_brute_force_at_edges(world, specs, count):
     perms = matched_perms(world, specs)
     assert len(perms) == count
     assert perms == brute_matched(world, specs)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 431, 432])
+def test_matched_lists_equal_brute_force_across_leaf_chunks(chunk, monkeypatch):
+    """Only the leaf check rejects 72 of the 432 mask survivors of share:1 on
+    GROUP_MASS_EDGE; with small chunks they straddle chunk boundaries."""
+    specs = [spec("share-pairing", 1)]
+    expected = brute_matched(GROUP_MASS_EDGE, specs)
+    monkeypatch.setattr(learner, "LEAF_CHUNK", chunk)
+    assert matched_perms(GROUP_MASS_EDGE, specs) == expected
+    assert learner.matched_perms(GROUP_MASS_EDGE, specs).tolist() == [list(p) for p in expected]
 
 
 def test_no_supervision_matches_every_bijection(world22):
@@ -221,3 +235,25 @@ def test_matched_report_contents(world22):
         assert sorted(row) == ["facts", "mig", "perm", "specs"]
         assert row["mig"] == [1.0, 1.0]
         assert "D{1}" in row["facts"] and "D{2}" in row["facts"]
+
+
+def test_matched_report_facts_equal_per_model_holds(world22):
+    rows = matched_report(world22, [spec("restricted-labeling", 1)])
+    assert [row["perm"] for row in rows] == [list(p) for p in matched_perms(world22, [spec("restricted-labeling", 1)])]
+    for row in rows:
+        target = EvaluationTarget.generator_based(CandidateModel(world22, row["perm"]))
+        facts = [Fact(k, IndexSet.of([i], 2)) for i in (1, 2) for k in "CRD"]
+        assert row["facts"] == [f"{f.kind}{f.index_set}" for f in facts if holds(target, f)]
+    assert sum("R{1}" not in row["facts"] for row in rows) == 2
+
+
+def test_verify_guarantee_at_enumeration_cap():
+    """Support 8 is MAX_ENUM_SUPPORT: every battery spec of the uniform
+    2x2x2 world (53,041 matched models in all) finishes within the budget."""
+    world = uniform_world((2, 2, 2))
+    assert world.support_size == learner.MAX_ENUM_SUPPORT
+    start = time.perf_counter()
+    reports = [verify_guarantee(world, s) for s in battery_specs(world)]
+    elapsed = time.perf_counter() - start
+    assert all(r.ok for r in reports) and sum(r.matched_count for r in reports) == 53041
+    assert elapsed < CAP_BUDGET_S, f"{elapsed:.2f} s at support {world.support_size}"

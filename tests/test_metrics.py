@@ -1,4 +1,5 @@
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from disentlab import (
     uniform_world,
 )
 from disentlab import metrics
+from disentlab.learner import matched_perms
+from disentlab.verify import battery_specs, check_fact_brute, theorem_battery
 from disentlab.errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 
 
@@ -297,6 +300,51 @@ def test_holds_mc_mode_on_rotation():
     I1 = IndexSet.of([1], 3)
     assert holds(target, Fact("C", I1), tol=1e-3, mode="mc", samples=20000, seed=0)
     assert not holds(target, Fact("R", I1), tol=1e-3, mode="mc", samples=20000, seed=0)
+
+
+def test_holds_rejects_unknown_mode(world22):
+    target = gen_target(CandidateModel.identity(world22))
+    with pytest.raises(MetricError) as normalized:
+        normalized_consistency(target, IndexSet.of([1], 2), mode="bogus")
+    with pytest.raises(MetricError) as verdict:
+        holds(target, Fact("C", IndexSet.of([1], 2)), mode="bogus")
+    assert str(verdict.value) == str(normalized.value)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_batched_numerators_equal_per_model(seed):
+    """One (k, m) call gives every matched model's raw consistency of the
+    guaranteed set and of its complement, float.hex for float.hex."""
+    for world in theorem_battery(support_max=6, seed=seed):
+        for spec in battery_specs(world):
+            perms = matched_perms(world, [spec])
+            I = spec.guaranteed_index_set(world.n)
+            for J in (I, I.complement()):
+                batch = metrics.generator_raw_consistency(world, perms, J)
+                assert batch.shape == (len(perms),)
+                for perm, num in zip(perms, batch.tolist()):
+                    ref = raw_consistency(gen_target(CandidateModel(world, perm)), J)
+                    assert num.hex() == ref.hex(), (world, spec, perm, J)
+
+
+def test_batched_verdicts_equal_per_model_and_brute_force(world22):
+    perms = np.array(list(permutations(range(4))))
+    models = [CandidateModel(world22, perm) for perm in perms]
+    for bits in range(4):
+        for kind in "CRD":
+            fact = Fact(kind, IndexSet(2, bits))
+            batch = metrics.generator_holds(world22, perms, fact).tolist()
+            assert batch == [holds(gen_target(m), fact) for m in models], fact
+            assert batch == [check_fact_brute(world22, m, fact) for m in models], fact
+    r1 = Fact("R", IndexSet.of([1], 2))
+    assert (~metrics.generator_holds(world22, perms, r1)).sum() == 16
+    label1 = matched_perms(world22, [SupervisionSpec("restricted-labeling", (1,))])
+    assert len(label1) == 4 and (~metrics.generator_holds(world22, label1, r1)).sum() == 2
+
+
+def test_batched_verdicts_on_empty_matched_set(world22):
+    none = np.empty((0, 4), dtype=np.int64)
+    assert metrics.generator_holds(world22, none, Fact("D", IndexSet.of([1], 2))).shape == (0,)
 
 
 def test_holds_mc_draws_only_conditional_pairs(xor_model, monkeypatch):
