@@ -58,7 +58,6 @@ from .worlds import (
     schematic_world,
     uniform_world,
     world_from_doc,
-    zigzag_connected,
     zigzag_connected_support,
 )
 

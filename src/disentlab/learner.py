@@ -7,10 +7,11 @@ exact augmented table equals the oracle's within tolerance; listing the
 whole matched set makes guarantee and impossibility claims checkable by
 inspection.
 
-The matched set is found by pruned backtracking, not by trying all m!
-bijections.  The bijection is assigned one latent support row at a time,
-targets in ascending order, and a partial assignment is dropped as soon
-as one row or pair of rows breaks a necessary condition of a table match:
+The matched set is found by a level-order search, not by trying all m!
+bijections.  A frontier of partial bijections, one per array row, grows by
+one latent support row per level; a target j is kept for row d only if
+every row and pair of rows assigned so far meets a necessary condition of
+a table match:
 
 - restricted labeling: row r maps to row j only if both carry the same
   I-label or p[j] <= tol;
@@ -21,14 +22,18 @@ as one row or pair of rows breaks a necessary condition of a table match:
   oracle I-groups needs a massless target pair.  Whole I-groups of equal
   size may trade places, so the I-projection need not be preserved.
 
-Each labeling and rank entry of the augmented table depends on one row or
-one pair, so there the conditions are the table comparison itself.
-Match-pairing leaves are accepted ``LEAF_CHUNK`` at a time by one
-vectorised exact sup-norm comparison of the candidates' tables with the
-oracle's, all built by ``supervision.dense_table``, the builder behind
-``augmented_table``.  The matched set is therefore the same, in the same
-order, as filtering ``itertools.permutations`` through ``tables_match``.
-The cap ``MAX_ENUM_SUPPORT`` still applies to the support size.
+Each level is one gather and ``&`` per assigned row over boolean arrays,
+and ``np.nonzero`` lists the extensions in row-major order, so every level
+stays in lexicographic order, the order of
+``itertools.permutations(range(m))``.  Each labeling and rank entry of the
+augmented table depends on one row or one pair, so there the conditions
+are the table comparison itself.  Match-pairing leaves are accepted
+``LEAF_CHUNK`` at a time by one vectorised exact sup-norm comparison of
+the candidates' tables with the oracle's, all built by
+``supervision.dense_table``, the builder behind ``augmented_table``.  The
+matched set is therefore the same, in the same order, as filtering
+``itertools.permutations`` through ``tables_match``.  The cap
+``MAX_ENUM_SUPPORT`` still applies to the support size.
 
 Guarantee checks take the matched set as one (k, m) array of bijections
 (``matched_perms``) and get its verdicts from the batched exact engine
@@ -38,14 +43,12 @@ Guarantee checks take the matched set as one (k, m) array of bijections
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
 from .errors import DisentlabError, SupportTooLarge
 from .indexset import IndexSet
-from .metrics import EvaluationTarget, generator_holds, holds, mig
+from .metrics import EvaluationTarget, generator_holds, mig
 from .calculus import Fact
 from .supervision import (
     MASS_TOL,
@@ -71,14 +74,14 @@ def _as_spec_list(specs) -> list[SupervisionSpec]:
 
 
 def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float):
-    """Row masks and pair masks of the backtracking search, plus the
-    match-pairing kernels its leaves are checked against.
+    """Row and pair conditions of the search, plus the match-pairing
+    kernels its leaves are checked against.
 
-    ``row_masks[i]`` has bit j set when latent row i may map to oracle row
-    j.  ``into[k][i][j]`` has bit j2 set when latent rows (i, k), i < k, may
-    map to oracle rows (j, j2).  ``kernels`` holds (group keys, oracle
-    table) per match-pairing spec; with none, the masks decide the table
-    match exactly.
+    ``allowed[i, j]`` says latent row i may map to oracle row j;
+    ``pairs[i, k, j, j2]`` says latent rows (i, k) may map to oracle rows
+    (j, j2), which needs j != j2.  ``kernels`` holds (group keys, oracle
+    table) per match-pairing spec; with none, the conditions decide the
+    table match exactly.
     """
     m = world.support_size
     p = world.support_probs
@@ -88,7 +91,7 @@ def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float)
     kernels = []
     for spec in specs:
         kind, I = spec.validate_for(world)
-        keys = row_keys(world.support, kind, I.cols())[0]
+        keys = row_keys(world, kind, I.cols())[0]
         if kind == RANK_PAIRING:
             y = keys[:, None] >= keys
             ok &= (y[:, :, None, None] == y) | (pp <= tol)
@@ -101,68 +104,32 @@ def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float)
         kernel, same = dense_table(MATCH_PAIRING, p, keys)
         ok &= np.where(same[:, :, None, None], same | (pp <= 2 * tol), kernel <= tol)
         kernels.append((keys, kernel))
-
-    bits = np.array([1 << j for j in range(m)], dtype=object)  # no width limit on m
-    both = ok & ok.transpose(1, 0, 3, 2)
-    pair_masks = (both @ bits).transpose(1, 0, 2).tolist()  # [k][i][j]
-    into = [pair_masks[k][:k] for k in range(m)]
-    row_masks = (allowed @ bits).tolist()
-    return row_masks, into, kernels
+    return allowed, ok & ok.transpose(1, 0, 3, 2) & ~np.eye(m, dtype=bool), kernels
 
 
-def _search(m: int, row_masks, into) -> Iterator[tuple[int, ...]]:
-    """Depth-first search over the bijections the masks admit, in
+def _bijections(allowed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Every bijection the conditions admit, as a (k, m) array in
     lexicographic order, which is the order of
     ``itertools.permutations(range(m))``."""
-    perm = [0] * m
-    todo = [0] * m  # per depth: targets not yet tried
-    todo[0] = row_masks[0]
-    used = 0
-    d = 0
-    last = m - 1
-    while d >= 0:
-        options = todo[d]
-        if not options:
-            d -= 1
-            if d >= 0:
-                used ^= 1 << perm[d]
-            continue
-        low = options & -options
-        todo[d] = options ^ low
-        perm[d] = low.bit_length() - 1
-        if d == last:
-            yield tuple(perm)
-            continue
-        used |= low
-        d += 1
-        mask = row_masks[d] & ~used
-        for i, masks in enumerate(into[d]):
-            mask &= masks[perm[i]]
-        todo[d] = mask
+    m = len(allowed)
+    frontier = np.empty((1, 0), dtype=np.int64)
+    for d in range(m):
+        options = allowed[d][None]  # one row: the first & broadcasts it
+        for i in range(d):
+            options = options & pairs[i, d][frontier[:, i]]
+        parent, target = np.nonzero(options)
+        frontier = np.concatenate([frontier[parent], target[:, None]], axis=1)
+    return frontier
 
 
-def _accepted(p, leaves, m: int, kernels, tol: float) -> Iterator[np.ndarray]:
-    """Chunks (c, m) of the mask-surviving ``leaves`` whose match-pairing
-    tables equal the oracle's kernels: one vectorised sup-norm per chunk."""
-    while True:
-        perms = np.array(list(islice(leaves, LEAF_CHUNK)), dtype=np.int64).reshape(-1, m)
-        if not len(perms):
-            return
-        for keys, kernel in kernels:
-            table = dense_table(MATCH_PAIRING, p[perms], keys)[0]
-            dev = np.abs(table - kernel[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
-            perms = perms[dev <= tol]
-        yield perms
-
-
-def _matched_chunks(world: DiscreteWorld, specs, tol: float, max_support: int) -> Iterator[np.ndarray]:
-    """The matched bijections as (c, m) arrays, in ``itertools.permutations``
-    order.  The support cap and the specs are checked at the call."""
-    m = world.support_size
-    if m > max_support:
-        raise SupportTooLarge(f"support {m} exceeds enumeration cap {max_support}")
-    row_masks, into, kernels = _constraints(world, _as_spec_list(specs), tol)
-    return _accepted(world.support_probs, _search(m, row_masks, into), m, kernels, tol)
+def _accepted(p, perms: np.ndarray, kernels, tol: float) -> np.ndarray:
+    """The rows of ``perms`` (c, m) whose match-pairing tables equal the
+    oracle's kernels: one vectorised sup-norm per kernel."""
+    for keys, kernel in kernels:
+        table = dense_table(MATCH_PAIRING, p[perms], keys)[0]
+        dev = np.abs(table - kernel[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
+        perms = perms[dev <= tol]
+    return perms
 
 
 def matched_perms(
@@ -171,23 +138,19 @@ def matched_perms(
     tol: float = MASS_TOL,
     max_support: int = MAX_ENUM_SUPPORT,
 ) -> np.ndarray:
-    """The matched set as one (k, m) array of support bijections, row i
-    being the bijection of ``enumerate_matched(...)[i]``; no model is built."""
-    chunks = list(_matched_chunks(world, specs, tol, max_support))
-    return np.concatenate(chunks) if chunks else np.empty((0, world.support_size), dtype=np.int64)
-
-
-def iter_matched(
-    world: DiscreteWorld,
-    specs=None,
-    tol: float = MASS_TOL,
-    max_support: int = MAX_ENUM_SUPPORT,
-) -> Iterator[CandidateModel]:
-    """Lazily yield the matched candidates in ``itertools.permutations``
-    order of their bijections.  The support cap and the specs are checked
-    at the call; a candidate model is built only once it is matched."""
-    chunks = _matched_chunks(world, specs, tol, max_support)
-    return (CandidateModel(world, perm) for perms in chunks for perm in perms)
+    """The matched set as one (k, m) array of support bijections in
+    ``itertools.permutations`` order, row i being the bijection of
+    ``enumerate_matched(...)[i]``; no model is built."""
+    m = world.support_size
+    if m > max_support:
+        raise SupportTooLarge(f"support {m} exceeds enumeration cap {max_support}")
+    allowed, pairs, kernels = _constraints(world, _as_spec_list(specs), tol)
+    leaves = _bijections(allowed, pairs)
+    if not kernels:
+        return leaves
+    p = world.support_probs
+    chunks = [_accepted(p, leaves[lo:lo + LEAF_CHUNK], kernels, tol) for lo in range(0, len(leaves), LEAF_CHUNK)]
+    return np.concatenate([leaves[:0], *chunks])
 
 
 def enumerate_matched(
@@ -196,12 +159,13 @@ def enumerate_matched(
     tol: float = MASS_TOL,
     max_support: int = MAX_ENUM_SUPPORT,
 ) -> list[CandidateModel]:
-    """All support bijections whose augmented tables equal the oracle's.
+    """All support bijections whose augmented tables equal the oracle's, as
+    candidate models in ``itertools.permutations`` order.
 
     With an empty spec list only the observation distribution is matched,
     which every bijection satisfies by construction.
     """
-    return list(iter_matched(world, specs, tol, max_support))
+    return [CandidateModel(world, perm) for perm in matched_perms(world, specs, tol, max_support)]
 
 
 @dataclass(frozen=True)
@@ -248,11 +212,15 @@ def find_violating_model(
     target: Fact,
     max_support: int = MAX_ENUM_SUPPORT,
 ) -> CandidateModel | None:
-    """First matched candidate violating the target fact, if any exists;
-    the search stops there."""
-    for model in iter_matched(world, specs, max_support=max_support):
-        if not holds(EvaluationTarget.generator_based(model), target):
-            return model
+    """First matched candidate violating the target fact, if any exists.
+    Verdicts are taken ``LEAF_CHUNK`` bijections at a time and stop at the
+    first chunk with a violator; only the witness model is built."""
+    perms = matched_perms(world, specs, max_support=max_support)
+    for lo in range(0, len(perms), LEAF_CHUNK):
+        chunk = perms[lo:lo + LEAF_CHUNK]
+        bad = np.flatnonzero(~generator_holds(world, chunk, target))
+        if len(bad):
+            return CandidateModel(world, chunk[bad[0]])
     return None
 
 

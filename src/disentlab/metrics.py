@@ -26,7 +26,7 @@ from .continuous import DiskRotationWorld, RotationCandidate
 from .errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 from .indexset import IndexSet
 from .supervision import SupervisionSpec, sample_features
-from .worlds import CandidateModel, mutual_information
+from .worlds import CandidateModel, group_ids, mutual_information
 
 GENERATOR_BASED = "generator"
 ENCODER_BASED = "encoder"
@@ -144,15 +144,7 @@ def _exact_stats(support, probs, mapped, cond_cols, measure_cols, cards):
     distributions.  Both are accumulated purely from products and squares
     of nonnegative floats, with the same reductions for every batch shape.
     """
-    key = np.zeros(len(support), dtype=np.int64)  # mixed radix: lexicographic group order
-    size = 1
-    for c in cond_cols:
-        key = key * cards[c] + support[:, c]
-        size *= cards[c]
-    seen = np.zeros(size, dtype=bool)  # no larger than the world's dense row index
-    seen[key] = True
-    rank = np.cumsum(seen) - 1
-    inverse, groups = rank[key], int(rank[-1]) + 1
+    inverse, groups = group_ids(support, cond_cols, cards)
     batch = probs.shape[:-1]
     k = probs.size // len(support)
     cells = np.arange(k).reshape(batch + (1,)) * groups + inverse  # (model, group) per row
@@ -264,11 +256,16 @@ def _mc_pairs(target, I: IndexSet, samples: int):
     return num_chunk, den_chunk
 
 
+def _mc_seeds(seed) -> list[np.random.SeedSequence]:
+    """(conditional-pair seed, i.i.d.-pair seed): the first and second child
+    of the seed's SeedSequence."""
+    return np.random.SeedSequence(seed).spawn(2)
+
+
 def _mc_deviations(target, I: IndexSet, samples: int, seed):
-    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample,
-    drawn from the first and second child of the seed's SeedSequence."""
+    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample."""
     num_chunk, den_chunk = _mc_pairs(target, I, samples)
-    seq_num, seq_den = np.random.SeedSequence(seed).spawn(2)
+    seq_num, seq_den = _mc_seeds(seed)
     return _run_chunks(num_chunk, samples, seq_num), _run_chunks(den_chunk, samples, seq_den)
 
 
@@ -353,10 +350,9 @@ def holds(
         raise MetricError(f"unknown mode {mode!r}; expected 'exact' or 'mc'")
 
     def raw(J: IndexSet) -> float:
-        # the conditional pairs of _mc_deviations alone, from its first child seed
+        # the conditional pairs of _mc_deviations alone
         num_chunk, _ = _mc_pairs(target, J, samples)
-        seq_num = np.random.SeedSequence(seed).spawn(1)[0]
-        return float(_run_chunks(num_chunk, samples, seq_num).mean())
+        return float(_run_chunks(num_chunk, samples, _mc_seeds(seed)[0]).mean())
 
     return bool(_fact_verdicts(raw, fact, tol))
 

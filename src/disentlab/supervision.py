@@ -31,7 +31,7 @@ from .errors import (
     UnorderedFactorForRank,
 )
 from .indexset import IndexSet
-from .worlds import CandidateModel, DiscreteWorld
+from .worlds import CandidateModel, DiscreteWorld, group_ids
 
 RESTRICTED_LABELING = "restricted-labeling"
 MATCH_PAIRING = "match-pairing"
@@ -163,14 +163,18 @@ def tables_match(a: AugmentedTable, b: AugmentedTable, tol: float = MASS_TOL) ->
     return float(np.abs(a.table - b.table).max()) <= tol
 
 
-def row_keys(support: np.ndarray, kind: str, cols) -> tuple[np.ndarray, np.ndarray | None]:
-    """(key per support row, distinct I-labels).  The key is the row's
-    I-label group id for restricted labeling and match pairing (labels
-    ``None`` otherwise) and its ranked factor value for rank pairing."""
+def row_keys(world: DiscreteWorld, kind: str, cols) -> tuple[np.ndarray, np.ndarray | None]:
+    """(key per support row, distinct I-labels in lexicographic order).  The
+    key is the row's I-label group id for restricted labeling and match
+    pairing (labels ``None`` otherwise) and its ranked factor value for rank
+    pairing."""
+    support = world.support
     if kind == RANK_PAIRING:
         return support[:, cols[0]], None
-    labels, gid = np.unique(support[:, cols], axis=0, return_inverse=True)
-    return gid.reshape(-1), labels
+    gid, count = group_ids(support, cols, world.cards)
+    labels = np.empty((count, len(cols)), dtype=support.dtype)
+    labels[gid] = support[:, cols]
+    return gid, labels
 
 
 def dense_table(kind: str, probs: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +210,7 @@ def augmented_table(obj, spec: SupervisionSpec) -> AugmentedTable:
         world, probs, rows = obj, obj.support_probs, np.arange(obj.support_size)
     else:
         raise SupervisionError(f"exact tables need a discrete world or model, got {type(obj).__name__}")
-    keys, labels = row_keys(world.support, kind, I.cols())
+    keys, labels = row_keys(world, kind, I.cols())
     table, on = dense_table(kind, probs, keys)
     obs = tuple(world.obs_ids.tolist())
     if kind == RESTRICTED_LABELING:

@@ -180,7 +180,7 @@ class DiscreteWorld:
 
     def resample_latents(self, rng, latents: np.ndarray, resample_cols: Sequence[int]) -> np.ndarray:
         """Redraw the given 0-based coordinates from their exact conditional."""
-        return _resample_table(rng, self.support, self.support_probs, latents, resample_cols)
+        return _resample_table(rng, self, self.support_probs, latents, resample_cols)
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
         """Vectorized g* over an (m, n) array of factor tuples."""
@@ -220,7 +220,7 @@ def world_from_doc(doc: dict) -> DiscreteWorld:
         prior = doc["prior"]
         gen = doc["gen"]
         ordered = doc.get("ordered")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WorldError(f"malformed world document: {exc}") from exc
     if version != WORLD_DOC_VERSION:
         raise WorldError(f"unsupported world document version {version!r}")
@@ -228,11 +228,17 @@ def world_from_doc(doc: dict) -> DiscreteWorld:
         raise WorldError("prior must be an array of numbers")
     if not isinstance(gen, list) or not all(type(v) is int for v in gen):
         raise WorldError("gen must be an array of integers")
+    if ordered is not None and not (isinstance(ordered, list) and all(type(b) is bool for b in ordered)):
+        raise WorldError("ordered must be null or an array of booleans")
     if len(cards) != n:
         raise ArityMismatch(f"n={n} but {len(cards)} cardinalities listed")
     size = prod(cards)
     if len(prior) != size or len(gen) != size:
         raise WorldError(f"prior/gen arrays must have {size} entries (row-major)")
+    try:
+        prior, gen = np.asarray(prior, dtype=float), np.asarray(gen, dtype=np.int64)
+    except OverflowError as exc:
+        raise WorldError(f"prior or gen entry out of range: {exc}") from exc
     return DiscreteWorld(cards, prior, gen, ordered)
 
 
@@ -368,13 +374,35 @@ class CandidateModel:
         return self.support[rows]
 
     def resample_latents(self, rng, latents: np.ndarray, resample_cols: Sequence[int]) -> np.ndarray:
-        return _resample_table(rng, self.support, self.probs, latents, resample_cols)
+        return _resample_table(rng, self.base, self.probs, latents, resample_cols)
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
         return self.base.obs_ids[self.perm[self.base.rows_of(latents)]]
 
     def __repr__(self) -> str:
         return f"CandidateModel(cards={self.cards}, perm={self.perm.tolist()})"
+
+
+# -- row grouping -------------------------------------------------------------
+
+
+def group_ids(rows: np.ndarray, cols, cards) -> tuple[np.ndarray, int]:
+    """(group id of each row by its values on the 0-based ``cols``, number
+    of groups).  The ids are the dense rank of a mixed-radix key with digit
+    ``rows[:, c] < cards[c]``, so they follow the lexicographic order of the
+    values, as ``np.unique(rows[:, cols], axis=0, return_inverse=True)``
+    numbers them.  The key spans prod(cards[c]) values, no more than the
+    factor grid."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    size = 1
+    for c in cols:
+        key *= int(cards[c])
+        key += rows[:, c]
+        size *= int(cards[c])
+    seen = np.zeros(size, dtype=bool)
+    seen[key] = True
+    rank = np.cumsum(seen) - 1
+    return rank[key], int(rank[-1]) + 1
 
 
 # -- zig-zag connectedness -----------------------------------------------------
@@ -387,49 +415,35 @@ def zigzag_connected_support(support: np.ndarray, I: IndexSet, J: IndexSet) -> b
     Steps between support tuples sharing all coordinates outside I (or
     outside J) are single moves, so reachability is the transitive closure
     of "same projection onto the complement of I" and "same onto the
-    complement of J".
+    complement of J".  Each row carries a component label, the least row
+    index it is known to reach.  The labels are lowered to the group minimum
+    through the I- and J-groupings in turn, then to their own row's label,
+    until they stop changing.  The support is connected when rows sharing
+    their projection onto the complement of I u J share one label.
     """
     support = np.asarray(support)
     m, n = support.shape
-    union = I.union(J)
-    parent = list(range(m))
+    radix = support.max(axis=0) + 1
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def groups(inside: IndexSet) -> tuple[np.ndarray, int]:
+        cols = set(inside.cols())
+        return group_ids(support, [c for c in range(n) if c not in cols], radix)
 
-    def merge_by(cols):
-        keep = [c for c in range(n) if c not in cols]
-        groups: dict[tuple, int] = {}
-        for r in range(m):
-            key = tuple(support[r, keep])
-            if key in groups:
-                ra, rb = find(groups[key]), find(r)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                groups[key] = r
-
-    merge_by(set(I.cols()))
-    merge_by(set(J.cols()))
-
-    outside = [c for c in range(n) if c not in set(union.cols())]
-    must: dict[tuple, int] = {}
-    for r in range(m):
-        key = tuple(support[r, outside])
-        if key in must:
-            if find(must[key]) != find(r):
-                return False
-        else:
-            must[key] = r
-    return True
-
-
-def zigzag_connected(world_or_model, I: IndexSet, J: IndexSet) -> bool:
-    """Zig-zag connectedness of a world's (or candidate's) latent support."""
-    return zigzag_connected_support(world_or_model.support, I, J)
+    steps = [groups(I), groups(J)]
+    label = np.arange(m)
+    while True:
+        before = label
+        for ids, count in steps:
+            low = np.full(count, m)
+            np.minimum.at(low, ids, label)
+            label = low[ids]
+        label = label[label]  # pointer jumping: shortens long chains of steps
+        if np.array_equal(label, before):
+            break
+    ids, count = groups(I.union(J))
+    low = np.full(count, m)
+    np.minimum.at(low, ids, label)
+    return bool(np.array_equal(low[ids], label))
 
 
 # -- schematic constructions ---------------------------------------------------
@@ -479,20 +493,25 @@ def _draw_rows(rng: np.random.Generator, probs: np.ndarray, m: int) -> np.ndarra
     return np.searchsorted(cum, rng.random(m), side="right")
 
 
-def _resample_table(rng, support, probs, latents, resample_cols) -> np.ndarray:
-    """Redraw the given coordinates of each row from the table's exact
-    conditional given the remaining coordinates."""
+def _resample_table(rng, world: DiscreteWorld, probs, latents, resample_cols) -> np.ndarray:
+    """Redraw the given coordinates of each row from the exact conditional,
+    given the remaining coordinates, of the table ``probs`` over the world's
+    support rows.  Groups draw in lexicographic order of their fixed values."""
+    support = world.support
     resample_cols = sorted(set(resample_cols))
     if not resample_cols:
         return latents.copy()
-    fixed = [c for c in range(support.shape[1]) if c not in resample_cols]
+    fixed = [c for c in range(world.n) if c not in resample_cols]
     if not fixed:
         return support[_draw_rows(rng, probs, len(latents))]
-    uniq, inverse = np.unique(np.asarray(latents)[:, fixed], axis=0, return_inverse=True)
+    m = len(support)
+    ids, count = group_ids(np.concatenate([support, latents]), fixed, world.cards)
+    order = np.argsort(ids, kind="stable")  # per group: its support rows, then its latents
+    bounds = np.searchsorted(ids[order], np.arange(count + 1))
     out = np.array(latents)
-    for g, key in enumerate(uniq):
-        idx = np.flatnonzero(np.all(support[:, fixed] == key, axis=1))
-        members = np.flatnonzero(inverse.reshape(-1) == g)
+    for g in np.unique(ids[m:]):
+        rows = order[bounds[g]:bounds[g + 1]]
+        idx, members = rows[rows < m], rows[rows >= m] - m
         out[members] = support[idx[_draw_rows(rng, probs[idx] / probs[idx].sum(), len(members))]]
     return out
 

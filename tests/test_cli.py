@@ -178,6 +178,16 @@ def test_score_csv_mixed_record_types(runner, tmp_path):
 
 
 CNR = ["--world", "consistent-not-restrictive"]
+HALF = '"version": 1, "n": 1, "cards": [2], "prior": [0.5, 0.5]'
+BAD_WORLDS = {  # world files the CLI must reject with one line
+    "arity": '{"version": 1, "n": 2, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}',
+    "n-huge": '{"version": 1, "n": 1e400, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}',
+    "cards-huge": '{"version": 1, "n": 1, "cards": [1e400], "prior": [0.5, 0.5], "gen": [0, 1]}',
+    "prior-huge": '{"version": 1, "n": 1, "cards": [2], "prior": [1%s, 0.5], "gen": [0, 1]}' % ("0" * 400),
+    "gen-huge": '{%s, "gen": [0, 9223372036854775808]}' % HALF,
+    "ordered-number": '{%s, "gen": [0, 1], "ordered": 5}' % HALF,
+    "ordered-string": '{"version": 1, "n": 2, "cards": [2, 1], "prior": [0.5, 0.5], "gen": [0, 1], "ordered": "ab"}',
+}
 
 
 @pytest.mark.parametrize(
@@ -199,16 +209,22 @@ CNR = ["--world", "consistent-not-restrictive"]
         ["verify", "--theorems", "--support-max", "0"],
         ["verify", "--theorems", "--support-max", "3"],
         ["verify", "--theorems", "--support-max", "9"],
+        ["world", "validate", "{tmp}/n-huge.json"],
+        ["world", "validate", "{tmp}/cards-huge.json"],
+        ["world", "validate", "{tmp}/prior-huge.json"],
+        ["world", "validate", "{tmp}/gen-huge.json"],
+        ["world", "validate", "{tmp}/ordered-number.json"],
+        ["world", "validate", "{tmp}/ordered-string.json"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "exact-on-continuous", "world-arity", "world-directory", "spec-token", "out-directory",
          "eta-query-range", "verify-samples-zero", "support-max-zero", "support-max-three",
-         "support-max-nine"],
+         "support-max-nine", "world-n-huge", "world-cards-huge", "world-prior-huge",
+         "world-gen-huge", "world-ordered-number", "world-ordered-string"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
-    (tmp_path / "arity.json").write_text(
-        '{"version": 1, "n": 2, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}'
-    )
+    for name, text in BAD_WORLDS.items():
+        (tmp_path / f"{name}.json").write_text(text)
     res = runner.invoke(main, [a.replace("{tmp}", str(tmp_path)) for a in args])
     assert res.exit_code == 2 and isinstance(res.exception, (SystemExit, type(None)))
     lines = [line for line in res.output.splitlines() if line.strip()]
@@ -241,7 +257,8 @@ def _fuzz_files(root: Path) -> dict:
     model = root / "model.json"
     model.write_text(json.dumps({"perm": [1, 0, 2, 3]}))
     return {"good": str(good), "bad": str(bad), "model": str(model), "dir": str(root),
-            "out": str(root / "out.jsonl"), "missing": str(root / "missing.json")}
+            "out": str(root / "out.jsonl"), "missing": str(root / "missing.json"),
+            "doc": str(root / "doc.json")}
 
 
 FILES = ("good", "bad", "dir", "missing")
@@ -280,8 +297,26 @@ OPTIONS = {
         "--n": st.sampled_from(["-1", "0", "1", "30", "x"]),
         "--out": st.sampled_from(["out", "dir"]),
     },
+    "verify": {
+        "--sweep": st.just(None),
+        "--counterexamples": st.just(None),
+        "--theorems": st.just(None),
+        "--seed": TOKEN,
+        "--trials": st.sampled_from(["-1", "0", "1", "3", "x"]),
+        "--support-max": st.sampled_from(["0", "3", "4", "5", "9", "x"]),
+        "--samples": st.sampled_from(["-1", "0", "1", "2", "50", "x"]),
+        "--format": st.sampled_from(["text", "json", "csv"]),
+    },
 }
-REQUIRED = {"score": ["--world"], "calc": ["--n"], "dataset": ["--world", "--spec", "--out"]}
+REQUIRED = {"score": ["--world"], "calc": ["--n"], "dataset": ["--world", "--spec", "--out"], "verify": []}
+# given first, so the suites never run at their default sizes; a drawn value overrides
+BOUNDED = {"verify": ["--trials", "1", "--samples", "50", "--support-max", "4"]}
+EXITS = {"verify": (0, 1, 2)}  # 1: a check failed, e.g. with too few samples
+
+GOOD_DOC = {"version": 1, "n": 2, "cards": [2, 2], "ordered": [True, False],
+            "prior": [0.25] * 4, "gen": [0, 1, 2, 3]}
+ODD = st.sampled_from([10**400, -(10**400), 2**63, -(2**63) - 1, float("inf"), float("nan"), 1e300,
+                       2.5, 1.0, -1, 0, 1, True, None, "x", "", [], [[2]], {}])
 
 
 @st.composite
@@ -291,7 +326,7 @@ def command_lines(draw, command):
     options = OPTIONS[command]
     names = [name for name in REQUIRED[command] if draw(st.integers(0, 7))]
     names += draw(st.lists(st.sampled_from(sorted(options)), max_size=5))
-    args = [command]
+    args = [command, *BOUNDED.get(command, [])]
     for name in names:
         args.append(name)
         value = draw(options[name])
@@ -302,21 +337,44 @@ def command_lines(draw, command):
     return args
 
 
-@pytest.mark.parametrize("command", sorted(OPTIONS))
+@st.composite
+def world_lines(draw):
+    """``world validate`` or ``world inspect`` on a valid document with up
+    to three keys, or entries of its arrays, replaced by odd values (huge
+    numbers, floats where ints go, wrong types) or dropped.  The document
+    text is the last argument; the test writes it to a file."""
+    doc = json.loads(json.dumps(GOOD_DOC))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(GOOD_DOC)))
+        how = draw(st.sampled_from(["drop", "replace", "entry"]))
+        if how == "drop":
+            doc.pop(key, None)
+        elif how == "entry" and isinstance(doc.get(key), list) and doc[key]:
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(ODD)
+        else:
+            doc[key] = draw(ODD)
+    return ["world", draw(st.sampled_from(["validate", "inspect"])), json.dumps(doc)]
+
+
+@pytest.mark.parametrize("command", sorted([*OPTIONS, "world"]))
 def test_cli_fuzz_never_crashes(command):
-    """Random argument lists exit 0 or 2 with no uncaught exception; none of
-    these commands runs a verification, so exit 1 would mean a crash."""
+    """Random argument lists exit 0 or 2 with no uncaught exception; of
+    these commands only ``verify`` runs a verification, so exit 1 from any
+    other would mean a crash."""
     with tempfile.TemporaryDirectory() as tmp:
         files = _fuzz_files(Path(tmp))
         runner = CliRunner()
 
         @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-        @given(command_lines(command))
+        @given(world_lines() if command == "world" else command_lines(command))
         def run(args):
+            if command == "world":
+                Path(files["doc"]).write_text(args[-1])
+                args = [*args[:-1], "doc"]
             args = [files.get(a, a) for a in args]
             res = runner.invoke(main, args)
             assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.output)
-            assert res.exit_code in (0, 2), (args, res.output)
+            assert res.exit_code in EXITS.get(command, (0, 2)), (args, res.output)
 
         run()
 

@@ -22,7 +22,7 @@ from disentlab.errors import SupportTooLarge
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
 
-CAP_BUDGET_S = 3.0  # about 3x the largest time measured at support 8 (1.0 s, two competing processes on 2 CPUs)
+CAP_BUDGET_S = 1.2  # about 3x the largest time measured at support 8 (0.39 s, two competing processes on 2 CPUs)
 
 
 def spec(kind, *indices):

@@ -23,7 +23,7 @@ from disentlab.errors import (
     SupervisionError,
     UnorderedFactorForRank,
 )
-from disentlab.supervision import MATCH_PAIRING
+from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, row_keys
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
 
@@ -158,6 +158,22 @@ def test_tables_equal_reference_on_battery(seed):
                          ids=["tolerance-edge", "group-mass-edge", "underflow"])
 def test_tables_equal_reference_over_all_bijections(world):
     _assert_tables_equal_reference(world, list(permutations(range(world.support_size))))
+
+
+def test_row_keys_equal_unique_rows_on_battery():
+    """Group ids and labels equal ``np.unique(..., axis=0)``'s for every
+    index set of every battery world, the empty set included."""
+    for world in theorem_battery(6):
+        for bits in range(1 << world.n):
+            cols = [c for c in range(world.n) if bits >> c & 1]
+            labels, inverse = np.unique(world.support[:, cols], axis=0, return_inverse=True)
+            for kind in ("restricted-labeling", MATCH_PAIRING):
+                keys, got = row_keys(world, kind, cols)
+                assert keys.tolist() == inverse.reshape(-1).tolist(), (world, cols)
+                assert got.shape == labels.shape and got.tolist() == labels.tolist(), (world, cols)
+            if cols:
+                keys, got = row_keys(world, RANK_PAIRING, cols[:1])
+                assert got is None and keys.tolist() == world.support[:, cols[0]].tolist()
 
 
 def test_underflowed_outcomes_keep_their_keys():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,9 @@ from disentlab import (
     zigzag_guard,
 )
 from disentlab.errors import SupportTooLarge
+from disentlab.worlds import DEFAULT_SUPPORT_CAP
+
+ASSUMPTIONS_BUDGET_S = 5.0  # about 3x the time measured at DEFAULT_SUPPORT_CAP (1.2-1.9 s, 2 CPUs)
 
 
 def test_brute_identity_consistent(world22):
@@ -134,6 +139,18 @@ def test_assumptions_zigzag_violation_world():
     assert report.injective and report.encoder_inverts
     assert ((1,), (2,)) in report.zigzag_failures
     assert not report.ok
+
+
+def test_assumptions_at_default_support_cap():
+    """The uniform 2^12 world has DEFAULT_SUPPORT_CAP rows and 78 index sets
+    of size at most 2: 3,081 zig-zag checks over 4,096 rows."""
+    world = uniform_world((2,) * 12)
+    assert world.support_size == DEFAULT_SUPPORT_CAP
+    start = time.perf_counter()
+    report = check_assumptions(world)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert elapsed < ASSUMPTIONS_BUDGET_S, f"{elapsed:.2f} s at support {world.support_size}"
 
 
 # -- nuisance ---------------------------------------------------------------------------------

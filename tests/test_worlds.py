@@ -11,7 +11,6 @@ from disentlab import (
     schematic_world,
     uniform_world,
     world_from_doc,
-    zigzag_connected,
     zigzag_connected_support,
 )
 from disentlab.errors import (
@@ -117,7 +116,7 @@ def test_zigzag_full_grid_always_connected():
     w = uniform_world((2, 3, 2))
     for ib in range(1 << 3):
         for jb in range(1 << 3):
-            assert zigzag_connected(w, IndexSet(3, ib), IndexSet(3, jb))
+            assert zigzag_connected_support(w.support, IndexSet(3, ib), IndexSet(3, jb))
 
 
 def test_zigzag_diagonal_support_disconnected():
@@ -125,9 +124,9 @@ def test_zigzag_diagonal_support_disconnected():
     prior[0, 0] = prior[1, 1] = 0.5
     w = DiscreteWorld((2, 2), prior, [[0, -1], [-1, 1]])
     I, J = IndexSet.of([1], 2), IndexSet.of([2], 2)
-    assert not zigzag_connected(w, I, J)
+    assert not zigzag_connected_support(w.support, I, J)
     # one step may change both coordinates when they all lie in I
-    assert zigzag_connected(w, IndexSet.of([1, 2], 2), IndexSet.of([1, 2], 2))
+    assert zigzag_connected_support(w.support, IndexSet.of([1, 2], 2), IndexSet.of([1, 2], 2))
 
 
 def test_zigzag_empty_union_vacuously_true():
@@ -135,7 +134,7 @@ def test_zigzag_empty_union_vacuously_true():
     prior[0, 0] = prior[1, 1] = 0.5
     w = DiscreteWorld((2, 2), prior, [[0, -1], [-1, 1]])
     E = IndexSet.empty(2)
-    assert zigzag_connected(w, E, E)
+    assert zigzag_connected_support(w.support, E, E)
 
 
 def test_zigzag_symmetry_and_fixed_union_monotonicity():
@@ -163,6 +162,82 @@ def test_zigzag_symmetry_and_fixed_union_monotonicity():
                             and (I2 | J2) == (I | J)
                         ):
                             assert conn[(I2.bits, J2.bits)]
+
+
+def reference_zigzag(support, I, J):
+    """Oracle: union-find over support rows, merging rows that share their
+    projection onto the complement of I (or of J) through tuple-keyed dicts;
+    connected when rows sharing their projection off I u J share a root."""
+    m, n = support.shape
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def merge_by(cols):
+        groups = {}
+        for r in range(m):
+            key = tuple(support[r, [c for c in range(n) if c not in cols]])
+            if key in groups:
+                parent[find(r)] = find(groups[key])
+            else:
+                groups[key] = r
+
+    merge_by(set(I.cols()))
+    merge_by(set(J.cols()))
+    outside = [c for c in range(n) if c not in set(I.union(J).cols())]
+    must = {}
+    for r in range(m):
+        if find(must.setdefault(tuple(support[r, outside]), r)) != find(r):
+            return False
+    return True
+
+
+def _random_support_world(rng, n, cards, shape):
+    """A world over ``cards``: a random_world of correlation 0, a random
+    correlation or 1 (a diagonal support), or one on a random subset of the
+    grid."""
+    if shape != "subset":
+        corr = float(rng.uniform()) if shape == "random" else float(shape == "diagonal")
+        return random_world(int(rng.integers(2**31)), n, cards, corr)
+    mask = rng.uniform(size=cards) < 0.5
+    mask.flat[rng.integers(mask.size)] = True
+    return DiscreteWorld(cards, mask / mask.sum(), np.arange(mask.size).reshape(cards))
+
+
+@pytest.mark.parametrize("shape", ["independent", "random", "diagonal", "subset"])
+def test_zigzag_equals_reference_on_every_pair(shape):
+    rng = np.random.default_rng(5)
+    disconnected = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 4))
+        cards = [int(k) for k in rng.integers(2, 5, n)]
+        w = _random_support_world(rng, n, cards, shape)
+        sets = [IndexSet(n, b) for b in range(1 << n)]
+        for I in sets:
+            for J in sets:
+                expected = reference_zigzag(w.support, I, J)
+                assert zigzag_connected_support(w.support, I, J) == expected, (w.support, I, J)
+                disconnected += not expected
+    # a full grid is always connected; the sparse supports are not
+    assert (disconnected > 0) == (shape in ("diagonal", "subset"))
+
+
+@pytest.mark.parametrize("cut", [None, 1000], ids=["chain", "broken"])
+def test_zigzag_staircase_support(cut):
+    """Rows (i, i) and (i, i + 1) form one chain of 4,095 single-coordinate
+    steps, the longest path a support of that size can need; dropping
+    (cut, cut + 1) splits it in two."""
+    i = np.arange(2048)
+    support = np.concatenate([np.column_stack([i, i]), np.column_stack([i[:-1], i[:-1] + 1])])
+    if cut is not None:
+        support = support[~((support[:, 0] == cut) & (support[:, 1] == cut + 1))]
+    support = support[np.lexsort(support.T[::-1])]
+    for I, J in [(IndexSet.of([1], 2), IndexSet.of([2], 2)), (IndexSet.of([2], 2), IndexSet.of([1], 2))]:
+        assert zigzag_connected_support(support, I, J) == reference_zigzag(support, I, J) == (cut is None)
 
 
 # -- candidate models -----------------------------------------------------------------
