@@ -1,8 +1,7 @@
 """Fact-closure inference over consistency/restrictiveness atoms.
 
 Facts are typed atoms C(I), R(I), D(I) over index sets.  D(I) is stored as
-the conjunction C(I) and R(I).  The closure engine saturates an axiom set
-under six rule schemas:
+the conjunction C(I) and R(I).  The rule set has six schemas:
 
     complement    C(I) <-> R(~I)
     c_union       C(I) & C(J) => C(I | J)
@@ -11,10 +10,24 @@ under six rule schemas:
     r_intersect   R(I) & R(J) => R(I & J)
     trivial       C({}), R({}), C(full), R(full)
 
+Queries need no saturation.  Without a guard, the C-atoms of the closure
+are the sublattice of subsets of the universe that the generators span:
+the C-axioms, the complements of the R-axioms, {} and the full set
+(Birkhoff's representation theorem for finite distributive lattices).
+Its R-atoms are the complements of its C-atoms.  With down(j) the
+intersection of the generators that contain j, C(I) is in the closure iff
+down(j) is a subset of I for every j in I.  ``derive`` and ``entails``
+answer queries this way and write each derivation directly: c_intersect
+steps build down(j) and c_union steps join those into I; an R-atom takes
+the dual steps, r_union and r_intersect, over the R-generators.
+
 r_union and c_intersect are only sound on supports whose zig-zag
 connectivity holds for the participating sets; callers that care pass a
-guard predicate which is consulted before those rules fire.  Every derived
-atom carries a trace (rule name plus premises) back to the axioms.
+guard predicate, consulted with (rule, I bits, J bits) before those rules
+fire.  The lattice argument does not cover a guard, so ``closure``
+saturates: each atom it pops is paired with every member of its kind,
+over plain int bitmasks.  Every atom carries a trace (rule name plus
+premises) back to the axioms.
 
 The nuisance extension adds one unsupervisable index eta: eta-consistency
 of I is plain consistency of I, eta-restrictiveness of I is plain
@@ -38,7 +51,13 @@ KIND_C = "C"
 KIND_R = "R"
 KIND_D = "D"
 
-RuleGuard = Callable[[str, IndexSet, IndexSet], bool]
+# (rule, I bits, J bits) -> whether that single rule application may fire
+RuleGuard = Callable[[str, int, int], bool]
+# kind -> (the other kind, its union rule, its intersection rule)
+_RULES = {KIND_C: (KIND_R, "c_union", "c_intersect"), KIND_R: (KIND_C, "r_union", "r_intersect")}
+# kind -> (meet rule, join rule) of its lattice, read in C coordinates: the
+# R-atoms are complements of C-atoms, so meets of R-generators are unions
+_LATTICE_RULES = {KIND_C: ("c_intersect", "c_union"), KIND_R: ("r_union", "r_intersect")}
 
 
 @dataclass(frozen=True, order=True)
@@ -76,6 +95,7 @@ class FactSet:
             raise ArityTooLarge(f"universe of size {n} exceeds the cap of {MAX_UNIVERSE}")
         self.n = n
         self.nuisance = nuisance
+        self.mask = (1 << (n + (1 if nuisance else 0))) - 1
         self.atoms: set[tuple[str, int]] = set()
         self.traces: dict[tuple[str, int], tuple[str, tuple]] = {}
 
@@ -150,6 +170,17 @@ class FactSet:
         )
 
 
+def _seed(fs: FactSet, axioms: Iterable[Fact]) -> None:
+    """The four trivial atoms, then the atoms of the axioms."""
+    for kind in (KIND_C, KIND_R):
+        fs._add(kind, 0, "trivial", ())
+        fs._add(kind, fs.mask, "trivial", ())
+    for f in axioms:
+        fs._check(f.index_set)
+        for kind, bits in f.atoms():
+            fs._add(kind, bits, "axiom", ())
+
+
 def closure(
     axioms: Iterable[Fact],
     n: int,
@@ -158,46 +189,92 @@ def closure(
 ) -> FactSet:
     """Least fixpoint of the rule set over the axioms.
 
-    The guard, when given, is consulted with (rule, I, J) before any
-    union/intersection rule fires; returning False suppresses that single
-    application.  Derivations are recorded for every atom.
+    The guard, when given, is consulted with (rule, I bits, J bits) before
+    any union/intersection rule fires whose conclusion is new; returning
+    False suppresses that single application.  Derivations are recorded
+    for every atom.
     """
     fs = FactSet(n, nuisance)
-    universe = n + (1 if nuisance else 0)
-    mask = (1 << universe) - 1
-    queue: deque[tuple[str, int]] = deque()
+    _seed(fs, axioms)
+    atoms, mask = fs.atoms, fs.mask
+    queue = deque(fs.traces)
+    members: dict[str, list[int]] = {KIND_C: [], KIND_R: []}
+    for kind, bits in queue:
+        members[kind].append(bits)
 
     def add(kind, bits, rule, premises):
         if fs._add(kind, bits, rule, premises):
+            members[kind].append(bits)
             queue.append((kind, bits))
 
-    for kind in (KIND_C, KIND_R):
-        add(kind, 0, "trivial", ())
-        add(kind, mask, "trivial", ())
-    for f in axioms:
-        fs._check(f.index_set)
-        for kind, bits in f.atoms():
-            add(kind, bits, "axiom", ())
-
-    def allowed(rule, b1, b2):
-        if guard is None:
-            return True
-        return guard(rule, fs.index_set(b1), fs.index_set(b2))
-
     while queue:
-        kind, bits = queue.popleft()
-        other = KIND_R if kind == KIND_C else KIND_C
-        add(other, bits ^ mask, "complement", ((kind, bits),))
-        partners = [b for k, b in fs.atoms if k == kind]
-        for b2 in partners:
-            premises = ((kind, bits), (kind, b2))
-            union_rule = "c_union" if kind == KIND_C else "r_union"
-            inter_rule = "c_intersect" if kind == KIND_C else "r_intersect"
-            if allowed(union_rule, bits, b2):
-                add(kind, bits | b2, union_rule, premises)
-            if allowed(inter_rule, bits, b2):
-                add(kind, bits & b2, inter_rule, premises)
+        atom = queue.popleft()
+        kind, bits = atom
+        other, union_rule, inter_rule = _RULES[kind]
+        add(other, bits ^ mask, "complement", (atom,))
+        for b2 in members[kind][:]:
+            for rule, result in ((union_rule, bits | b2), (inter_rule, bits & b2)):
+                if (kind, result) not in atoms and (guard is None or guard(rule, bits, b2)):
+                    add(kind, result, rule, (atom, (kind, b2)))
     return fs
+
+
+def derive(axioms: Iterable[Fact], queries: Iterable[Fact], n: int, nuisance: bool = False) -> FactSet:
+    """The part of the unguarded closure that answers the queries.
+
+    The result holds the generators and, for every queried atom that the
+    closure holds, a derivation of it, so ``contains`` gives each query's
+    verdict and ``trace_lines`` its trace.  Other atoms of the closure are
+    absent unless such a derivation passes through them.
+    """
+    fs = FactSet(n, nuisance)
+    _seed(fs, axioms)
+    mask = fs.mask
+    for kind, bits in list(fs.traces):
+        fs._add(_RULES[kind][0], bits ^ mask, "complement", ((kind, bits),))
+    gens = [bits for kind, bits in fs.traces if kind == KIND_C]
+    universe = range(mask.bit_length())
+    down = [mask] * len(universe)
+    for g in gens:
+        for j in universe:
+            if g >> j & 1:
+                down[j] &= g
+    for q in queries:
+        fs._check(q.index_set)
+        for kind, bits in q.atoms():
+            target = bits if kind == KIND_C else bits ^ mask
+            if all(down[j] & ~target == 0 for j in universe if target >> j & 1):
+                _write_derivation(fs, kind, target, gens)
+    return fs
+
+
+def _write_derivation(fs: FactSet, kind: str, target: int, gens: list[int]) -> None:
+    """Derive the atom whose C-coordinates ``target`` lie in the lattice of
+    ``gens``: meets of the generators that contain j give down(j), and
+    joins of those give the target.  An R-atom's C-coordinates are its
+    complement."""
+    flip = 0 if kind == KIND_C else fs.mask
+    meet, join = _LATTICE_RULES[kind]
+
+    def step(rule, a, b, result):
+        fs._add(kind, result ^ flip, rule, ((kind, a ^ flip), (kind, b ^ flip)))
+
+    if (kind, target ^ flip) in fs.atoms:
+        return
+    joined = None
+    for j in range(fs.mask.bit_length()):
+        if not target >> j & 1 or (joined is not None and joined >> j & 1):
+            continue
+        cur = fs.mask  # C(full), trivial
+        for g in gens:
+            if g >> j & 1 and cur & g != cur:
+                if cur != fs.mask:
+                    step(meet, cur, g, cur & g)
+                cur &= g
+        if joined is not None:
+            step(join, joined, cur, joined | cur)
+            cur |= joined
+        joined = cur
 
 
 def entails(
@@ -205,14 +282,14 @@ def entails(
     query: Fact,
     n: int,
     nuisance: bool = False,
-    guard: RuleGuard | None = None,
 ) -> tuple[bool, list[str]]:
-    """Membership of the query in the closure, with its derivation trace.
+    """Membership of the query in the unguarded closure, with its
+    derivation trace.
 
     A False verdict means "not derivable from the rule set", not that the
     fact fails in every model.
     """
-    fs = closure(axioms, n, nuisance, guard)
+    fs = derive(axioms, [query], n, nuisance)
     if fs.contains(query):
         return True, fs.trace_lines(query)
     return False, []
@@ -276,7 +353,7 @@ def plan_supervision(
     for size in range(0, min(budget, len(candidates)) + 1):
         winners = []
         for picks in combinations(range(len(candidates)), size):
-            fs = closure([guarantees[i] for i in picks], n)
+            fs = derive([guarantees[i] for i in picks], goal, n)
             if all(fs.contains(g) for g in goal):
                 winners.append(tuple(candidates[i] for i in picks))
         if winners:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .calculus import closure, parse_facts
+from .calculus import closure, derive, parse_facts
 from .continuous import rotation_world
 from .errors import DegenerateDenominator, DisentlabError
 from .indexset import IndexSet
@@ -327,15 +327,15 @@ def calc(n_factors, axioms, query, show_closure, nuisance, fmt):
     """Closure and entailment queries over C/R/D facts."""
     try:
         axiom_facts = parse_facts(axioms, n_factors, nuisance)
-        fs = closure(axiom_facts, n_factors, nuisance=nuisance)
+        if query is None:
+            fs = closure(axiom_facts, n_factors, nuisance=nuisance)
+        else:
+            queries = parse_facts(query, n_factors, nuisance)
+            fs = derive(axiom_facts, queries, n_factors, nuisance)
     except DisentlabError as exc:
         raise click.UsageError(str(exc))
 
     if query is not None:
-        try:
-            queries = parse_facts(query, n_factors, nuisance)
-        except DisentlabError as exc:
-            raise click.UsageError(str(exc))
         ok = all(fs.contains(q) for q in queries)
         lines: list[str] = []
         if ok:

@@ -122,10 +122,17 @@ class DiscreteWorld:
     def encode(self, obs_id: int) -> tuple[int, ...]:
         """e* = g*^-1 on the support."""
         obs_id = int(obs_id)
-        i = int(np.searchsorted(self._sorted_ids, obs_id))
-        if i == len(self._sorted_ids) or self._sorted_ids[i] != obs_id:
+        row = int(self.encode_rows([obs_id])[0])
+        if row < 0:
             raise WorldError(f"observation id {obs_id} not produced by this world")
-        return tuple(int(v) for v in self.support[self._id_order[i]])
+        return tuple(int(v) for v in self.support[row])
+
+    def encode_rows(self, obs_ids) -> np.ndarray:
+        """e* over an array: the support row of each observation id, -1 for
+        an id this world does not produce."""
+        obs_ids = np.asarray(obs_ids)
+        i = np.minimum(np.searchsorted(self._sorted_ids, obs_ids), len(self._sorted_ids) - 1)
+        return np.where(self._sorted_ids[i] == obs_ids, self._id_order[i], -1)
 
     def index_set(self, indices: Iterable[int]) -> IndexSet:
         return IndexSet.of(indices, self.n)
@@ -412,6 +419,27 @@ def zigzag_connected_support(support: np.ndarray, I: IndexSet, J: IndexSet) -> b
     """Whether every support pair differing only inside I u J is joined by a
     path whose steps each change only I-coordinates or only J-coordinates.
 
+    When one set holds the other, every step inside the smaller set is a
+    step inside the larger one, which is I u J, so any such pair is one
+    step apart.  Otherwise the support is grouped by its projections onto
+    the complements of I, J and I u J (see ``zigzag_connected_groups``).
+    """
+    if I.issubset(J) or J.issubset(I):
+        return True
+    support = np.asarray(support)
+    radix = support.max(axis=0) + 1
+    return zigzag_connected_groups(*(outside_groups(support, radix, s.bits) for s in (I, J, I | J)))
+
+
+def outside_groups(support: np.ndarray, radix, bits: int) -> tuple[np.ndarray, int]:
+    """``group_ids`` of the support rows by the 0-based columns outside ``bits``."""
+    return group_ids(support, [c for c in range(support.shape[1]) if not bits >> c & 1], radix)
+
+
+def zigzag_connected_groups(i_groups, j_groups, union_groups) -> bool:
+    """Zig-zag connectivity from the rows' groupings by the complements of
+    I, J and I u J, each an ``(ids, count)`` pair from ``group_ids``.
+
     Steps between support tuples sharing all coordinates outside I (or
     outside J) are single moves, so reachability is the transitive closure
     of "same projection onto the complement of I" and "same onto the
@@ -421,26 +449,18 @@ def zigzag_connected_support(support: np.ndarray, I: IndexSet, J: IndexSet) -> b
     until they stop changing.  The support is connected when rows sharing
     their projection onto the complement of I u J share one label.
     """
-    support = np.asarray(support)
-    m, n = support.shape
-    radix = support.max(axis=0) + 1
-
-    def groups(inside: IndexSet) -> tuple[np.ndarray, int]:
-        cols = set(inside.cols())
-        return group_ids(support, [c for c in range(n) if c not in cols], radix)
-
-    steps = [groups(I), groups(J)]
+    m = len(i_groups[0])
     label = np.arange(m)
     while True:
         before = label
-        for ids, count in steps:
+        for ids, count in (i_groups, j_groups):
             low = np.full(count, m)
             np.minimum.at(low, ids, label)
             label = low[ids]
         label = label[label]  # pointer jumping: shortens long chains of steps
         if np.array_equal(label, before):
             break
-    ids, count = groups(I.union(J))
+    ids, count = union_groups
     low = np.full(count, m)
     np.minimum.at(low, ids, label)
     return bool(np.array_equal(low[ids], label))

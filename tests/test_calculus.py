@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from disentlab import (
     IndexSet,
     SupervisionSpec,
     closure,
+    derive,
     entails,
     nuisance_closure,
     parse_fact,
@@ -15,6 +18,7 @@ from disentlab import (
 )
 from disentlab.calculus import expand_eta_fact
 from disentlab.errors import ArityTooLarge, CalculusError, FactParseError, NuisanceInAxiomIndexSet
+from reference_calculus import reference_closure
 
 
 def F(kind, indices, n, nuisance=False):
@@ -112,6 +116,102 @@ def test_traces_replay_to_axioms(axioms):
             head, _, rest = line.partition(" <= ")
             if rest.startswith("axiom"):
                 assert head in axiom_strs
+
+
+# -- lattice queries against the reference saturation ----------------------------------
+
+
+@st.composite
+def universes_and_axioms(draw):
+    """n <= 6, with or without the nuisance index, and up to six C/R/D
+    axioms over the whole universe."""
+    nuisance = draw(st.booleans())
+    n = draw(st.integers(1, 6 - nuisance))
+    size = 1 << (n + nuisance)
+    atoms = st.tuples(st.sampled_from(["C", "R", "D"]), st.integers(0, size - 1))
+    axioms = [Fact(k, IndexSet(n, b, nuisance)) for k, b in draw(st.lists(atoms, max_size=6))]
+    return n, nuisance, axioms
+
+
+def every_atom(n, nuisance):
+    return [Fact(k, IndexSet(n, b, nuisance)) for k in ("C", "R") for b in range(1 << (n + nuisance))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(universes_and_axioms())
+def test_lattice_verdicts_equal_reference_saturation(case):
+    n, nuisance, axioms = case
+    reference = reference_closure(axioms, n, nuisance)
+    queries = every_atom(n, nuisance)
+    derived = derive(axioms, queries, n, nuisance)
+    assert derived.atoms <= reference.atoms  # every written derivation step is sound
+    for q in queries:
+        expected = q.atoms()[0] in reference.atoms
+        assert derived.contains(q) == expected, (axioms, q)
+        assert entails(axioms, q, n, nuisance)[0] == expected, (axioms, q)
+
+
+_ATOM_RE = re.compile(r"[CR]\{[^{}]*\}")
+_LINE_RE = re.compile(r"^([CR]\{[^{}]*\}) <= (\w+)\((.*)\)$")
+_RULE_BITS = {
+    "c_union": ("C", lambda a, b: a | b),
+    "r_union": ("R", lambda a, b: a | b),
+    "c_intersect": ("C", lambda a, b: a & b),
+    "r_intersect": ("R", lambda a, b: a & b),
+}
+
+
+def replay(lines, axioms, n, nuisance=False):
+    """Check each trace line in order: its premises are earlier heads, its
+    head follows from them by the named rule, and an ``axiom`` head is an
+    axiom atom.  Returns the set of heads."""
+    mask = (1 << (n + nuisance)) - 1
+    axiom_atoms = {atom for f in axioms for atom in f.atoms()}
+    heads = set()
+    for line in lines:
+        m = _LINE_RE.match(line)
+        assert m, line
+        head = parse_fact(m.group(1), n, nuisance).atoms()[0]
+        rule = m.group(2)
+        premises = [parse_fact(p, n, nuisance).atoms()[0] for p in _ATOM_RE.findall(m.group(3))]
+        assert all(p in heads for p in premises), line
+        kind, bits = head
+        if rule == "axiom":
+            assert not premises and head in axiom_atoms, line
+        elif rule == "trivial":
+            assert not premises and bits in (0, mask), line
+        elif rule == "complement":
+            (p_kind, p_bits), = premises
+            assert p_kind != kind and p_bits == bits ^ mask, line
+        else:
+            rule_kind, op = _RULE_BITS[rule]
+            (k1, b1), (k2, b2) = premises
+            assert kind == k1 == k2 == rule_kind and bits == op(b1, b2), line
+        heads.add(head)
+    return heads
+
+
+@settings(max_examples=100, deadline=None)
+@given(universes_and_axioms())
+def test_entails_traces_replay(case):
+    n, nuisance, axioms = case
+    reference = reference_closure(axioms, n, nuisance)
+    for q in every_atom(n, nuisance):
+        ok, lines = entails(axioms, q, n, nuisance)
+        if ok:
+            assert q.atoms()[0] in replay(lines, axioms, n, nuisance)
+        else:
+            assert lines == [] and q.atoms()[0] not in reference.atoms
+
+
+def test_replay_rejects_a_wrong_step():
+    axioms = [F("C", [1, 2], 3), F("C", [2, 3], 3)]
+    ok, lines = entails(axioms, F("C", [2], 3), 3)
+    assert ok and replay(lines, axioms, 3)
+    with pytest.raises(AssertionError):
+        replay([line.replace("c_intersect", "c_union") for line in lines], axioms, 3)
+    with pytest.raises(AssertionError):
+        replay(lines, axioms[:1], 3)
 
 
 def test_arity_cap():

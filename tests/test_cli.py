@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disentlab.calculus import MAX_UNIVERSE
 from disentlab.cli import main
+
+MAX_UNIVERSE_BUDGET_S = 0.025  # about 3x the slowest of 2.3-8.3 ms measured, 2 CPUs, with and without two busy processes
 
 
 @pytest.fixture
@@ -408,6 +412,26 @@ def test_calc_nuisance_query(runner):
     assert res.exit_code == 0 and res.output.startswith("YES")
 
 
+def test_calc_at_max_universe(runner):
+    """A query at n = MAX_UNIVERSE answers from the lattice, where
+    saturation would list every subset of 16 factors."""
+    n = MAX_UNIVERSE
+    singletons = [f"C{{{i}}}" for i in range(1, n + 1)]
+    start = time.perf_counter()
+    yes = invoke(runner, "calc", "--n", str(n), "--axioms", " & ".join(singletons),
+                 "--query", "D{1,3,5,7,9,11,13,15}", "--format", "json")
+    no = invoke(runner, "calc", "--n", str(n), "--axioms", " & ".join(singletons[:-1]),
+                "--query", f"C{{{n}}}", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert yes.exit_code == no.exit_code == 0
+    doc = json.loads(yes.output)
+    assert doc["entailed"]
+    heads = [line.partition(" <= ")[0] for line in doc["trace"]]
+    assert "C{1,3,5,7,9,11,13,15}" in heads and "R{1,3,5,7,9,11,13,15}" in heads
+    assert json.loads(no.output) == {"entailed": False, "trace": []}
+    assert elapsed < MAX_UNIVERSE_BUDGET_S, f"{elapsed:.3f} s"
+
+
 def test_calc_parse_error_exits_two(runner):
     res = runner.invoke(main, ["calc", "--n", "2", "--axioms", "C{oops}", "--query", "C{1}"])
     assert res.exit_code == 2
@@ -417,6 +441,15 @@ def test_verify_counterexamples(runner):
     res = runner.invoke(main, ["verify", "--counterexamples", "--samples", "20000"])
     assert res.exit_code == 0
     assert res.output.count("[PASS]") == 5
+
+
+@pytest.mark.parametrize("samples", ["1", "10"])
+def test_verify_counterexamples_fail_on_too_few_samples(runner, samples):
+    """At one sample the MC error is NaN and at ten it is wider than the
+    gap to the thresholds, so the rotation check cannot pass."""
+    res = runner.invoke(main, ["verify", "--counterexamples", "--samples", samples])
+    assert res.exit_code == 1
+    assert "[FAIL] rotation-consistent-unrestricted" in res.output
 
 
 def test_verify_theorems_smallest_support_max(runner):

@@ -1,4 +1,5 @@
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from disentlab import (
     uniform_world,
     zigzag_guard,
 )
+from disentlab import verify
 from disentlab.errors import SupportTooLarge
 from disentlab.worlds import DEFAULT_SUPPORT_CAP
+from reference_calculus import reference_closure, reference_zigzag_guard
 
-ASSUMPTIONS_BUDGET_S = 5.0  # about 3x the time measured at DEFAULT_SUPPORT_CAP (1.2-1.9 s, 2 CPUs)
+ASSUMPTIONS_BUDGET_S = 2.4  # about 3x the time measured at DEFAULT_SUPPORT_CAP (0.68-0.80 s, 2 CPUs)
 
 
 def test_brute_identity_consistent(world22):
@@ -99,6 +102,32 @@ def test_unguarded_closure_catches_zigzag_violation():
     assert any(atom not in truths for atom in unguarded.atoms)  # union rule misfires
     guarded = closure(axioms, n, guard=zigzag_guard(model.support))
     assert all(atom in truths for atom in guarded.atoms)
+
+
+def _guarded_pair(axioms, n, support):
+    guarded = closure(axioms, n, guard=zigzag_guard(support))
+    reference = reference_closure(axioms, n, guard=reference_zigzag_guard(support))
+    return guarded.atoms, reference.atoms
+
+
+def test_guarded_closure_equals_reference_on_sweep_trials():
+    """The int saturation with the memoised bit-pair guard derives the same
+    atoms as the IndexSet saturation on 2,000 soundness-sweep trials."""
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(17).spawn(2000)]
+    for trial_seed in seeds:
+        n, model, _, axioms = verify._sweep_case(trial_seed, 3, 3)
+        got, expected = _guarded_pair(axioms, n, model.support)
+        assert got == expected, trial_seed
+
+
+def test_guarded_closure_equals_reference_on_every_bijection_of_uniform22():
+    world = uniform_world((2, 2))
+    for perm in permutations(range(world.support_size)):
+        model = CandidateModel(world, perm)
+        truths = verify._true_atoms(EvaluationTarget.generator_based(model), world.n)
+        axioms = [Fact(k, IndexSet(world.n, b)) for k, b in sorted(truths)]
+        got, expected = _guarded_pair(axioms, world.n, model.support)
+        assert got == expected, perm
 
 
 # -- named counterexamples -----------------------------------------------------------------

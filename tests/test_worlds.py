@@ -21,7 +21,13 @@ from disentlab.errors import (
     WorldError,
     ZeroMassConditioning,
 )
-from disentlab.worlds import mutual_information, save_world, load_world
+from disentlab.worlds import (
+    load_world,
+    mutual_information,
+    outside_groups,
+    save_world,
+    zigzag_connected_groups,
+)
 
 
 def test_uniform_world_is_valid(world22):
@@ -224,6 +230,25 @@ def test_zigzag_equals_reference_on_every_pair(shape):
                 disconnected += not expected
     # a full grid is always connected; the sparse supports are not
     assert (disconnected > 0) == (shape in ("diagonal", "subset"))
+
+
+@pytest.mark.parametrize("shape", ["independent", "random", "diagonal", "subset"])
+def test_zigzag_nested_shortcut_equals_label_spreading(shape):
+    """When I holds J or J holds I, the shortcut's True is what the full
+    label spreading over the three groupings computes."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 5))
+        cards = [int(k) for k in rng.integers(2, 4, n)]
+        w = _random_support_world(rng, n, cards, shape)
+        radix = w.support.max(axis=0) + 1
+        for i_bits in range(1 << n):
+            for j_bits in range(1 << n):
+                if i_bits & j_bits not in (i_bits, j_bits):
+                    continue
+                groups = [outside_groups(w.support, radix, b) for b in (i_bits, j_bits, i_bits | j_bits)]
+                I, J = IndexSet(n, i_bits), IndexSet(n, j_bits)
+                assert zigzag_connected_groups(*groups) == zigzag_connected_support(w.support, I, J) is True
 
 
 @pytest.mark.parametrize("cut", [None, 1000], ids=["chain", "broken"])
