@@ -3,9 +3,9 @@
 The candidate family is every bijection of the world's support with the
 pushforward prior, which matches the observation distribution by
 construction.  A candidate is "matched" for a supervision spec when its
-exact augmented table equals the oracle's within tolerance; listing the
-whole matched set makes guarantee and impossibility claims checkable by
-inspection.
+exact augmented table equals the oracle's within tol = ``MASS_TOL``;
+listing the whole matched set makes guarantee and impossibility claims
+checkable by inspection.
 
 The matched set is found by a level-order search, not by trying all m!
 bijections.  A frontier of partial bijections, one per array row, grows by
@@ -73,7 +73,7 @@ def _as_spec_list(specs) -> list[SupervisionSpec]:
     return list(specs)
 
 
-def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float):
+def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec]):
     """Row and pair conditions of the search, plus the match-pairing
     kernels its leaves are checked against.
 
@@ -94,15 +94,15 @@ def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec], tol: float)
         keys = row_keys(world, kind, I.cols())[0]
         if kind == RANK_PAIRING:
             y = keys[:, None] >= keys
-            ok &= (y[:, :, None, None] == y) | (pp <= tol)
+            ok &= (y[:, :, None, None] == y) | (pp <= MASS_TOL)
             continue
         if kind == RESTRICTED_LABELING:
-            allowed &= (keys[:, None] == keys) | (p <= tol)
+            allowed &= (keys[:, None] == keys) | (p <= MASS_TOL)
             continue
         # match pairing; a latent group's mass w is at most 1 up to
-        # rounding, so p[j] p[j2] / w <= tol needs p[j] p[j2] <= 2 tol
+        # rounding, so p[j] p[j2] / w <= MASS_TOL needs p[j] p[j2] <= 2 MASS_TOL
         kernel, same = dense_table(MATCH_PAIRING, p, keys)
-        ok &= np.where(same[:, :, None, None], same | (pp <= 2 * tol), kernel <= tol)
+        ok &= np.where(same[:, :, None, None], same | (pp <= 2 * MASS_TOL), kernel <= MASS_TOL)
         kernels.append((keys, kernel))
     return allowed, ok & ok.transpose(1, 0, 3, 2) & ~np.eye(m, dtype=bool), kernels
 
@@ -122,50 +122,40 @@ def _bijections(allowed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return frontier
 
 
-def _accepted(p, perms: np.ndarray, kernels, tol: float) -> np.ndarray:
+def _accepted(p, perms: np.ndarray, kernels) -> np.ndarray:
     """The rows of ``perms`` (c, m) whose match-pairing tables equal the
     oracle's kernels: one vectorised sup-norm per kernel."""
     for keys, kernel in kernels:
         table = dense_table(MATCH_PAIRING, p[perms], keys)[0]
         dev = np.abs(table - kernel[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
-        perms = perms[dev <= tol]
+        perms = perms[dev <= MASS_TOL]
     return perms
 
 
-def matched_perms(
-    world: DiscreteWorld,
-    specs=None,
-    tol: float = MASS_TOL,
-    max_support: int = MAX_ENUM_SUPPORT,
-) -> np.ndarray:
+def matched_perms(world: DiscreteWorld, specs=None) -> np.ndarray:
     """The matched set as one (k, m) array of support bijections in
     ``itertools.permutations`` order, row i being the bijection of
     ``enumerate_matched(...)[i]``; no model is built."""
     m = world.support_size
-    if m > max_support:
-        raise SupportTooLarge(f"support {m} exceeds enumeration cap {max_support}")
-    allowed, pairs, kernels = _constraints(world, _as_spec_list(specs), tol)
+    if m > MAX_ENUM_SUPPORT:
+        raise SupportTooLarge(f"support {m} exceeds enumeration cap {MAX_ENUM_SUPPORT}")
+    allowed, pairs, kernels = _constraints(world, _as_spec_list(specs))
     leaves = _bijections(allowed, pairs)
     if not kernels:
         return leaves
     p = world.support_probs
-    chunks = [_accepted(p, leaves[lo:lo + LEAF_CHUNK], kernels, tol) for lo in range(0, len(leaves), LEAF_CHUNK)]
+    chunks = [_accepted(p, leaves[lo:lo + LEAF_CHUNK], kernels) for lo in range(0, len(leaves), LEAF_CHUNK)]
     return np.concatenate([leaves[:0], *chunks])
 
 
-def enumerate_matched(
-    world: DiscreteWorld,
-    specs=None,
-    tol: float = MASS_TOL,
-    max_support: int = MAX_ENUM_SUPPORT,
-) -> list[CandidateModel]:
+def enumerate_matched(world: DiscreteWorld, specs=None) -> list[CandidateModel]:
     """All support bijections whose augmented tables equal the oracle's, as
     candidate models in ``itertools.permutations`` order.
 
     With an empty spec list only the observation distribution is matched,
     which every bijection satisfies by construction.
     """
-    return [CandidateModel(world, perm) for perm in matched_perms(world, specs, tol, max_support)]
+    return [CandidateModel(world, perm) for perm in matched_perms(world, specs)]
 
 
 @dataclass(frozen=True)
@@ -191,37 +181,24 @@ class GuaranteeReport:
         }
 
 
-def verify_guarantee(
-    world: DiscreteWorld,
-    spec: SupervisionSpec,
-    max_support: int = MAX_ENUM_SUPPORT,
-) -> GuaranteeReport:
+def verify_guarantee(world: DiscreteWorld, spec: SupervisionSpec) -> GuaranteeReport:
     """Check that every matched candidate is consistent on the canonical
     index set of the supervision (for change pairing that set is the
     complement of the changed factors, hence restrictiveness on them)."""
     guaranteed = Fact("C", spec.guaranteed_index_set(world.n))
-    perms = matched_perms(world, [spec], max_support=max_support)
+    perms = matched_perms(world, [spec])
     ok = generator_holds(world, perms, guaranteed)
     bad = tuple(tuple(perm) for perm in perms[~ok].tolist())
     return GuaranteeReport(spec, guaranteed, len(perms), bad)
 
 
-def find_violating_model(
-    world: DiscreteWorld,
-    specs,
-    target: Fact,
-    max_support: int = MAX_ENUM_SUPPORT,
-) -> CandidateModel | None:
-    """First matched candidate violating the target fact, if any exists.
-    Verdicts are taken ``LEAF_CHUNK`` bijections at a time and stop at the
-    first chunk with a violator; only the witness model is built."""
-    perms = matched_perms(world, specs, max_support=max_support)
-    for lo in range(0, len(perms), LEAF_CHUNK):
-        chunk = perms[lo:lo + LEAF_CHUNK]
-        bad = np.flatnonzero(~generator_holds(world, chunk, target))
-        if len(bad):
-            return CandidateModel(world, chunk[bad[0]])
-    return None
+def find_violating_model(world: DiscreteWorld, specs, target: Fact) -> CandidateModel | None:
+    """First matched candidate violating the target fact, if any exists,
+    from one verdict call over the matched set; only the witness model is
+    built."""
+    perms = matched_perms(world, specs)
+    bad = np.flatnonzero(~generator_holds(world, perms, target))
+    return CandidateModel(world, perms[bad[0]]) if len(bad) else None
 
 
 def check_informativeness(world: DiscreteWorld, model) -> bool:
@@ -240,23 +217,19 @@ def check_informativeness(world: DiscreteWorld, model) -> bool:
     return True
 
 
-def matched_report(
-    world: DiscreteWorld,
-    specs=None,
-    max_support: int = MAX_ENUM_SUPPORT,
-) -> list[dict]:
+def matched_report(world: DiscreteWorld, specs=None) -> list[dict]:
     """Per-candidate summary of the matched set: bijection, single-factor
     facts satisfied, and the mutual information gap."""
     specs = _as_spec_list(specs)
-    perms = matched_perms(world, specs, max_support=max_support)
+    perms = matched_perms(world, specs)
     facts = [Fact(kind, IndexSet.of([i], world.n)) for i in range(1, world.n + 1) for kind in "CRD"]
-    verdicts = [generator_holds(world, perms, fact) for fact in facts]
+    verdicts = generator_holds(world, perms, facts)
     return [
         {
             "perm": perm.tolist(),
             "specs": [s.to_string() for s in specs],
-            "facts": [f"{fact.kind}{fact.index_set}" for fact, ok in zip(facts, verdicts) if ok[r]],
+            "facts": [f"{fact.kind}{fact.index_set}" for fact, ok in zip(facts, row) if ok],
             "mig": list(mig(EvaluationTarget.generator_based(CandidateModel(world, perm))).per_factor),
         }
-        for r, perm in enumerate(perms)
+        for perm, row in zip(perms, verdicts)
     ]

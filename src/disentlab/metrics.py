@@ -12,7 +12,9 @@ differing coordinate); continuous factors by squared Euclidean distance.
 Exact mode enumerates conditional value distributions per group, writing
 the numerator and the numerator-to-denominator gap as sums of products of
 nonnegative terms, so the [0, 1] score bound survives floating point
-verbatim rather than through clamping.
+verbatim rather than through clamping.  One exact engine call batches
+index sets as well as models (a (k, m) array of support bijections); a
+verdict reads I for C(I), ~I for R(I) and both for D(I).
 """
 
 from __future__ import annotations
@@ -100,10 +102,6 @@ class EvaluationTarget:
     def n(self) -> int:
         return self.model.n
 
-    def check_index_set(self, I: IndexSet):
-        if I.n != self.n or I.nuisance:
-            raise ArityMismatch(f"index set {I!r} does not match target arity {self.n}")
-
     def exact_view(self):
         """(latent support rows, probabilities, measured rows, cards)."""
         if not self.is_discrete:
@@ -132,80 +130,82 @@ class EvaluationTarget:
 # -- exact engine ----------------------------------------------------------------
 
 
-def _exact_stats(support, probs, mapped, cond_cols, measure_cols, cards):
-    """(numerator, gap) of the conditional-resampling deviation, one per
-    model for models sharing one latent support: ``probs`` is (..., m) and
-    ``mapped`` (..., m, n), so a single model has no batch axis.
+def _exact_stats(support, probs, mapped, cards, sets):
+    """(numerator, gap) of the conditional-resampling deviation of every
+    index set in ``sets``, for models sharing one latent support: ``probs``
+    is (..., m) and ``mapped`` (..., m, n), so a single model has no batch
+    axis, and both results are (..., len(sets)).
 
-    numerator = sum over conditioning groups of the within-group
-    probability that an i.i.d. pair of measured values differs, per
-    measured coordinate; gap = denominator - numerator, expanded as the
-    group-weighted squared distance between conditional and marginal value
-    distributions.  Both are accumulated purely from products and squares
-    of nonnegative floats, with the same reductions for every batch shape.
+    For an index set I, numerator = sum over the groups of rows that agree
+    on I of the within-group probability that an i.i.d. pair of measured
+    values differs, per coordinate of I; gap = denominator - numerator,
+    expanded as the group-weighted squared distance between conditional and
+    marginal value distributions.  Both are accumulated purely from products
+    and squares of nonnegative floats, with the same reductions for every
+    batch shape and set list, so an entry does not depend on what else the
+    call computes.
     """
-    inverse, groups = group_ids(support, cond_cols, cards)
     batch = probs.shape[:-1]
     k = probs.size // len(support)
-    cells = np.arange(k).reshape(batch + (1,)) * groups + inverse  # (model, group) per row
-    num = gap = np.zeros(batch)
-    for c in measure_cols:
-        bins = (cells * cards[c] + mapped[..., c]).ravel()
-        table = np.bincount(bins, weights=probs.ravel(), minlength=k * groups * cards[c])
-        table = table.reshape(batch + (groups, cards[c]))
-        w = table.sum(axis=-1)
-        cond = table / w[..., None]
-        row_sum = cond.sum(axis=-1)
-        num = num + (w * (cond * (row_sum[..., None] - cond)).sum(axis=-1)).sum(axis=-1)
-        marginal = (w[..., None] * cond).sum(axis=-2)
-        gap = gap + (w[..., None] * (cond - marginal[..., None, :]) ** 2).sum(axis=(-2, -1))
+    model = np.arange(k).reshape(batch + (1,))
+    num = np.zeros(batch + (len(sets),))
+    gap = np.zeros(batch + (len(sets),))
+    for s, I in enumerate(sets):
+        if I.n != support.shape[1] or I.nuisance:
+            raise ArityMismatch(f"index set {I!r} does not match target arity {support.shape[1]}")
+        cols = I.cols()
+        inverse, groups = group_ids(support, cols, cards)
+        cells = model * groups + inverse  # (model, group) per row
+        num_I = gap_I = 0.0
+        for c in cols:
+            bins = (cells * cards[c] + mapped[..., c]).ravel()
+            table = np.bincount(bins, weights=probs.ravel(), minlength=k * groups * cards[c])
+            table = table.reshape(batch + (groups, cards[c]))
+            w = table.sum(axis=-1)
+            cond = table / w[..., None]
+            row_sum = cond.sum(axis=-1)
+            num_I = num_I + (w * (cond * (row_sum[..., None] - cond)).sum(axis=-1)).sum(axis=-1)
+            marginal = (w[..., None] * cond).sum(axis=-2)
+            gap_I = gap_I + (w[..., None] * (cond - marginal[..., None, :]) ** 2).sum(axis=(-2, -1))
+        num[..., s], gap[..., s] = num_I, gap_I
     return num, gap
 
 
-def _fact_verdicts(raw, fact: Fact, tol: float):
-    """Verdicts of a C/R/D fact from ``raw(J)``, the raw consistency of J
-    (a float or one per model).  D(I) skips ~I when no model passes I."""
-    I = fact.index_set
-    if fact.kind not in ("C", "R", "D"):
-        raise MetricError(f"unknown fact kind {fact.kind!r}")
-    ok = raw(I.complement() if fact.kind == "R" else I) <= tol
-    if fact.kind == "D" and np.any(ok):
-        ok = ok & (raw(I.complement()) <= tol)
-    return ok
+def _fact_verdicts(raw, facts, tol: float) -> np.ndarray:
+    """Verdicts of one C/R/D fact (shape (...)) or of a list of them
+    (..., F) from one call ``raw(sets)``, the raw consistency (..., S) of a
+    list of index sets: C(I) reads I, R(I) reads ~I, and D(I) reads both."""
+    if not tol >= 0:  # NaN fails too
+        raise MetricError(f"tol must be a nonnegative number, got {tol!r}")
+    single = isinstance(facts, Fact)
+    sets, starts = [], []  # each fact's sets in a row: C and R read one, D two
+    for f in [facts] if single else facts:
+        I = ~f.index_set if f.kind == "R" else f.index_set
+        starts.append(len(sets))
+        sets += [I, ~I] if f.kind == "D" else [I]
+    ok = np.logical_and.reduceat(raw(sets) <= tol, starts, axis=-1)
+    return ok[..., 0] if single else ok
 
 
-def generator_raw_consistency(world, perms, I: IndexSet) -> np.ndarray:
-    """Exact raw consistency of I for the generator-based target of every
-    ``CandidateModel(world, perms[i])``, from one (k, m) array of support
-    bijections; entry i equals ``raw_consistency`` on that model."""
-    perms = np.asarray(perms, dtype=np.int64).reshape(-1, world.support_size)
-    if I.n != world.n or I.nuisance:
-        raise ArityMismatch(f"index set {I!r} does not match target arity {world.n}")
-    support = world.support
-    cols = I.cols()
-    return _exact_stats(support, world.support_probs[perms], support[perms], cols, cols, world.cards)[0]
-
-
-def generator_holds(world, perms, fact: Fact, tol: float = EXACT_TOL) -> np.ndarray:
-    """Exact verdicts of one fact for the generator-based targets of the
-    models with bijections ``perms`` (k, m); entry i equals ``holds`` on
+def generator_holds(world, perms, facts, tol: float = EXACT_TOL) -> np.ndarray:
+    """Exact verdicts for the generator-based targets of the models with
+    bijections ``perms`` (..., m), from one engine call: for one fact entry
+    i, and for a list of facts row i (shape (..., F)), equals ``holds`` on
     ``CandidateModel(world, perms[i])``."""
-    return _fact_verdicts(lambda J: generator_raw_consistency(world, perms, J), fact, tol)
+    perms = np.asarray(perms, dtype=np.int64)
+    view = world.support, world.support_probs[perms], world.support[perms], world.cards
+    return _fact_verdicts(lambda sets: _exact_stats(*view, sets)[0], facts, tol)
 
 
 def raw_consistency(target: EvaluationTarget, I: IndexSet) -> float:
     """Exact expected squared deviation of the measured s_I under the
     fix-I / resample-rest process (zero iff C(I) holds)."""
-    target.check_index_set(I)
-    support, probs, mapped, cards = target.exact_view()
-    num, _ = _exact_stats(support, probs, mapped, I.cols(), I.cols(), cards)
-    return float(num)
+    return float(_exact_stats(*target.exact_view(), [I])[0][0])
 
 
 def raw_restrictiveness(target: EvaluationTarget, I: IndexSet) -> float:
     """Dual deviation: resample I, measure the complement.  Definitionally
     equal to the raw consistency of the complement set."""
-    target.check_index_set(I)
     return raw_consistency(target, I.complement())
 
 
@@ -235,6 +235,8 @@ def _mc_pairs(target, I: IndexSet, samples: int):
     Discrete factors count differing coordinates (squared indicator
     distance); continuous factors use squared Euclidean distance.
     """
+    if I.n != target.n or I.nuisance:
+        raise ArityMismatch(f"index set {I!r} does not match target arity {target.n}")
     if samples < 1:
         raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
     cols, resample_cols = I.cols(), I.complement().cols()
@@ -285,8 +287,7 @@ def _ratio_std_error(num_devs, den_devs) -> float:
 
 def _normalized(target, I, kind, report_set, mode, samples, seed):
     if mode == "exact":
-        support, probs, mapped, cards = target.exact_view()
-        num, gap = map(float, _exact_stats(support, probs, mapped, I.cols(), I.cols(), cards))
+        num, gap = (float(a[0]) for a in _exact_stats(*target.exact_view(), [I]))
         den = num + gap
         if den <= DEGENERACY_THRESHOLD:
             raise DegenerateDenominator(
@@ -317,7 +318,6 @@ def normalized_consistency(
     """Score 1 - num/den: one minus the conditional-resampling deviation over
     the i.i.d.-pair deviation.  Equals 1 iff C(I) holds; raises
     DegenerateDenominator on uninformative codes."""
-    target.check_index_set(I)
     return _normalized(target, I, "consistency", I, mode, samples, seed)
 
 
@@ -329,7 +329,6 @@ def normalized_restrictiveness(
     seed: int = 0,
 ) -> ScoreReport:
     """Dual score over the complement set, reported against I itself."""
-    target.check_index_set(I)
     return _normalized(target, I.complement(), "restrictiveness", I, mode, samples, seed)
 
 
@@ -343,16 +342,15 @@ def holds(
 ) -> bool:
     """Whether a C/R/D fact holds: the defining raw deviation(s) are zero
     within tol.  D(I) requires both; the empty set holds vacuously."""
-    target.check_index_set(fact.index_set)
-    if mode == "exact":
-        return bool(_fact_verdicts(lambda J: raw_consistency(target, J), fact, tol))
-    if mode != "mc":
+    if mode not in ("exact", "mc"):
         raise MetricError(f"unknown mode {mode!r}; expected 'exact' or 'mc'")
 
-    def raw(J: IndexSet) -> float:
+    def raw(sets) -> np.ndarray:
+        if mode == "exact":
+            return _exact_stats(*target.exact_view(), sets)[0]
         # the conditional pairs of _mc_deviations alone
-        num_chunk, _ = _mc_pairs(target, J, samples)
-        return float(_run_chunks(num_chunk, samples, _mc_seeds(seed)[0]).mean())
+        chunks = [_mc_pairs(target, J, samples)[0] for J in sets]
+        return np.array([_run_chunks(c, samples, _mc_seeds(seed)[0]).mean() for c in chunks])
 
     return bool(_fact_verdicts(raw, fact, tol))
 
@@ -489,32 +487,30 @@ def mc_match_check(
     spec: SupervisionSpec,
     seed: int = 0,
     samples: int = 50000,
-    bins_per_dim: int = 4,
-    permutations: int = 200,
-    alpha: float = 0.01,
 ) -> MatchCheckResult:
     """Two-sample test between oracle and model augmented records.
 
-    Records are binned on a pooled equal-mass grid and compared by the
-    squared difference of cell frequencies; the pass threshold is
-    calibrated by a permutation test at the given significance level.
+    Records are binned on a pooled equal-mass grid of 4 bins per dimension
+    and compared by the squared difference of cell frequencies; the pass
+    threshold is calibrated by a 200-draw permutation test at significance
+    level 0.01.
     """
     if not isinstance(oracle, DiskRotationWorld):
         raise MetricError("mc_match_check compares samplers of a continuous world")
     seq = np.random.SeedSequence(seed).spawn(3)
     a = sample_features(oracle, spec, np.random.default_rng(seq[0]), samples)
     b = sample_features(model, spec, np.random.default_rng(seq[1]), samples)
-    cells_a, cells_b, n_cells = _grid_cells(a, b, bins_per_dim)
+    cells_a, cells_b, n_cells = _grid_cells(a, b, 4)
 
     stat = _freq_stat(cells_a, cells_b, n_cells)
     pooled = np.concatenate([cells_a, cells_b])
     rng = np.random.default_rng(seq[2])
-    perm_stats = np.empty(permutations)
-    for t in range(permutations):
+    perm_stats = np.empty(200)
+    for t in range(len(perm_stats)):
         shuffled = rng.permutation(pooled)
         perm_stats[t] = _freq_stat(shuffled[:samples], shuffled[samples:], n_cells)
-    threshold = float(np.quantile(perm_stats, 1.0 - alpha))
-    p_value = float((1 + (perm_stats >= stat).sum()) / (permutations + 1))
+    threshold = float(np.quantile(perm_stats, 0.99))
+    p_value = float((1 + (perm_stats >= stat).sum()) / (len(perm_stats) + 1))
     return MatchCheckResult(bool(stat <= threshold), float(stat), threshold, p_value, samples, seed)
 
 

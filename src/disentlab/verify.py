@@ -21,7 +21,6 @@ from .errors import SupportTooLarge
 from .indexset import IndexSet
 from .learner import enumerate_matched, find_violating_model, matched_perms, verify_guarantee
 from .metrics import (
-    EXACT_TOL,
     EvaluationTarget,
     generator_holds,
     holds,
@@ -29,7 +28,6 @@ from .metrics import (
     mig,
     normalized_consistency,
     normalized_restrictiveness,
-    raw_consistency,
 )
 from .supervision import SupervisionSpec
 from .worlds import (
@@ -199,28 +197,39 @@ class SweepReport:
         }
 
 
-def _true_atoms(target: EvaluationTarget, n: int) -> set[tuple[str, int]]:
-    """Exact truth of every C/R atom over all 2^n index sets: C(I) holds
+def _true_atoms(world: DiscreteWorld, perms) -> list[set[tuple[str, int]]]:
+    """Exact truth of every C/R atom over all 2^n index sets, one atom set
+    per bijection in ``perms`` (..., m), from one verdict call: C(I) holds
     when the raw consistency of I is zero, R(I) when that of ~I is."""
-    zero = [raw_consistency(target, IndexSet(n, bits)) <= EXACT_TOL for bits in range(1 << n)]
+    n = world.n
     full = (1 << n) - 1
-    return {("C", bits) for bits in range(1 << n) if zero[bits]} | {
-        ("R", bits) for bits in range(1 << n) if zero[full ^ bits]
-    }
+    facts = [Fact("C", IndexSet(n, bits)) for bits in range(1 << n)]
+    zero = generator_holds(world, perms, facts).reshape(-1, 1 << n)
+    return [
+        {("C", bits) for bits in row} | {("R", full ^ bits) for bits in row}
+        for row in (np.flatnonzero(z).tolist() for z in zero)
+    ]
 
 
-def _sweep_case(trial_seed: int, n_max: int, card_max: int):
-    """One trial's random world, bijection, true atoms and axioms (a random
-    half of the true atoms)."""
+def _unsound_atoms(axioms, n: int, guard: RuleGuard, truths) -> tuple[int, list[Fact]]:
+    """(atom count, the atoms missing from ``truths`` as facts) of the
+    guarded closure of the axioms."""
+    derived = closure(axioms, n, guard=guard)
+    missing = sorted(atom for atom in derived.atoms if atom not in truths)
+    return len(derived.atoms), [Fact(kind, IndexSet(n, bits)) for kind, bits in missing]
+
+
+def _sweep_case(trial_seed: int):
+    """One trial's random world (up to 3 factors of up to 3 values),
+    bijection, true atoms and axioms (a random half of the true atoms)."""
     rng = np.random.default_rng(trial_seed)
-    n = int(rng.integers(1, n_max + 1))
-    cards = [int(rng.integers(2, card_max + 1)) for _ in range(n)]
+    n = int(rng.integers(1, 4))
+    cards = [int(rng.integers(2, 4)) for _ in range(n)]
     corr = float(rng.choice([0.0, float(rng.uniform(0.0, 1.0)), 1.0]))
     world = random_world(int(rng.integers(2**31)), n, cards, corr)
     model = CandidateModel(world, rng.permutation(world.support_size))
-    target = EvaluationTarget.generator_based(model)
 
-    truths = _true_atoms(target, n)
+    truths = _true_atoms(world, model.perm)[0]
     axioms = [
         Fact(kind, IndexSet(n, bits))
         for kind, bits in sorted(truths)
@@ -229,33 +238,25 @@ def _sweep_case(trial_seed: int, n_max: int, card_max: int):
     return n, model, truths, axioms
 
 
-def _sweep_trial(trial_seed: int, n_max: int, card_max: int) -> tuple[int, list[dict]]:
-    n, model, truths, axioms = _sweep_case(trial_seed, n_max, card_max)
-    derived = closure(axioms, n, guard=zigzag_guard(model.support))
-    violations = []
-    for kind, bits in sorted(derived.atoms):
-        if (kind, bits) not in truths:
-            violations.append(
-                {
-                    "trial_seed": trial_seed,
-                    "fact": str(Fact(kind, IndexSet(n, bits))),
-                    "axioms": [str(a) for a in axioms],
-                    "perm": [int(v) for v in model.perm],
-                }
-            )
-    return len(derived.atoms), violations
+def _sweep_trial(trial_seed: int) -> tuple[int, list[dict]]:
+    n, model, truths, axioms = _sweep_case(trial_seed)
+    checked, unsound = _unsound_atoms(axioms, n, zigzag_guard(model.support), truths)
+    return checked, [
+        {
+            "trial_seed": trial_seed,
+            "fact": str(fact),
+            "axioms": [str(a) for a in axioms],
+            "perm": [int(v) for v in model.perm],
+        }
+        for fact in unsound
+    ]
 
 
-def soundness_sweep(
-    seed: int = 0,
-    trials: int = 1000,
-    n_max: int = 3,
-    card_max: int = 3,
-) -> SweepReport:
+def soundness_sweep(seed: int = 0, trials: int = 1000) -> SweepReport:
     """Random worlds and bijections: every fact the guarded closure derives
     from true axioms must itself be true under exact evaluation."""
     trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
-    results = [_sweep_trial(s, n_max, card_max) for s in trial_seeds]
+    results = [_sweep_trial(s) for s in trial_seeds]
     checked = sum(k for k, _ in results)
     violations = [v for _, vs in results for v in vs]
     return SweepReport(trials, checked, violations, seed)
@@ -266,18 +267,14 @@ def exhaustive_bijection_sweep(world: DiscreteWorld) -> SweepReport:
     closure, zero tolerance for unsound derivations."""
     n = world.n
     guard = zigzag_guard(world.support)
+    perms = list(permutations(range(world.support_size)))
     checked = 0
     violations = []
-    for perm in permutations(range(world.support_size)):
-        model = CandidateModel(world, perm)
-        target = EvaluationTarget.generator_based(model)
-        truths = _true_atoms(target, n)
+    for perm, truths in zip(perms, _true_atoms(world, perms)):
         axioms = [Fact(kind, IndexSet(n, bits)) for kind, bits in sorted(truths)]
-        derived = closure(axioms, n, guard=guard)
-        checked += len(derived.atoms)
-        for kind, bits in sorted(derived.atoms):
-            if (kind, bits) not in truths:
-                violations.append({"perm": list(perm), "fact": str(Fact(kind, IndexSet(n, bits)))})
+        count, unsound = _unsound_atoms(axioms, n, guard, truths)
+        checked += count
+        violations.extend({"perm": list(perm), "fact": str(fact)} for fact in unsound)
     return SweepReport(-1, checked, violations, 0)
 
 
@@ -382,19 +379,19 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(world: DiscreteWorld, max_set_size: int = 2) -> AssumptionReport:
+def check_assumptions(world: DiscreteWorld) -> AssumptionReport:
     """Recoverability and connectivity report for a world.
 
     Checks generator injectivity on the support, exact inversion by the
-    derived encoder, and zig-zag connectivity over all index-set pairs up
-    to the given size.
+    derived encoder, and zig-zag connectivity over all pairs of index sets
+    of one or two factors.
     """
     support = world.support
     ids = world.gen[tuple(support.T)]
     injective = len(np.unique(ids)) == len(ids)
     encoder_inverts = bool(np.array_equal(world.encode_rows(ids), np.arange(len(support))))
     sets = []
-    for size in range(1, max_set_size + 1):
+    for size in (1, 2):
         sets.extend(IndexSet.of(s, world.n) for s in _combinations(range(1, world.n + 1), size))
     groups: dict[int, tuple[np.ndarray, int]] = {}
 
@@ -556,11 +553,9 @@ def check_nuisance_guarantee(world: DiscreteWorld, supervised: int) -> Verificat
 
     specs = [SupervisionSpec("share-pairing", (i,)) for i in range(1, supervised + 1)]
     matched = matched_perms(world, specs)
-    ok = np.ones(len(matched), dtype=bool)
-    for i in range(1, supervised + 1):
-        ok &= generator_holds(world, matched, Fact("C", IndexSet.of([i], n)))
-        ok &= generator_holds(world, matched, Fact("R", IndexSet.of([i, n], n)))
-    bad = int((~ok).sum())
+    facts = [Fact(kind, IndexSet.of(s, n)) for i in range(1, supervised + 1)
+             for kind, s in (("C", [i]), ("R", [i, n]))]
+    bad = int((~generator_holds(world, matched, facts).all(axis=1)).sum())
     report.add(
         "nuisance-matched-set-eta-disentangled",
         bad == 0 and len(matched) > 0,

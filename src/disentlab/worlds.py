@@ -264,13 +264,7 @@ def save_world(world: DiscreteWorld, path):
 # -- constructors ------------------------------------------------------------
 
 
-def random_world(
-    seed: int,
-    n: int,
-    cards: Sequence[int],
-    correlation: float = 0.0,
-    max_support: int = DEFAULT_SUPPORT_CAP,
-) -> DiscreteWorld:
+def random_world(seed: int, n: int, cards: Sequence[int], correlation: float = 0.0) -> DiscreteWorld:
     """Seed-deterministic world with a tunable factor correlation.
 
     correlation=0 gives the independent uniform product prior; larger
@@ -286,8 +280,8 @@ def random_world(
     if not 0.0 <= correlation <= 1.0:
         raise WorldError(f"correlation must lie in [0, 1], got {correlation}")
     size = prod(cards)
-    if size > max_support:
-        raise SupportTooLarge(f"support {size} exceeds cap {max_support}")
+    if size > DEFAULT_SUPPORT_CAP:
+        raise SupportTooLarge(f"support {size} exceeds cap {DEFAULT_SUPPORT_CAP}")
 
     rng = np.random.default_rng(seed)
     prior = np.full(cards, (1.0 - correlation) / size)

@@ -3,10 +3,14 @@
 An independent second implementation of ``supervision.augmented_table``:
 one outcome -> mass dict per world or candidate model, with a key for every
 outcome the supervision family can produce, in Python floats.  It shares no
-code with the library's dense builder, so the differential tests and the
-learner's brute-force enumerator can check that builder against it.
-Also the two tolerance-edge worlds both of them run on.
+code with the library's dense builder, so the differential tests can check
+that builder against it.  ``reference_tables`` repeats the same arithmetic
+as numpy arrays over many bijections at once, from world arrays only, for
+the learner's brute-force enumerator ``brute_matched``.  Also the two
+tolerance-edge worlds all of them run on.
 """
+
+from itertools import permutations, product
 
 import numpy as np
 
@@ -55,6 +59,72 @@ def reference_table(obj, spec) -> dict:
 def reference_match(a: dict, b: dict, tol: float = MASS_TOL) -> bool:
     """Sup-norm comparison of two reference tables; a missing key is zero."""
     return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b)) <= tol
+
+
+def reference_tables(world: DiscreteWorld, perms, spec) -> tuple[list, np.ndarray]:
+    """(outcomes, tables): the ``reference_table`` of
+    ``CandidateModel(world, perms[i])`` as row i of a dense (k, len(outcomes))
+    array, column j holding the mass of outcome key ``outcomes[j]`` (zero
+    where ``reference_table`` has no key); the identity bijection gives the
+    world's own table.
+
+    Built from the world's support, masses and observation ids with the
+    reference arithmetic: row masses p_r, products p_r * p_r2, and for match
+    pairing p_r * p_r2 / w with the group mass w summed in row order.  Each
+    outcome's terms are added in the order of ``reference_table``'s loops,
+    so every entry equals the dictionary's float.hex for float.hex.
+    """
+    kind, I = spec.validate_for(world)
+    cols = I.cols()
+    perms = np.asarray(perms, dtype=np.int64).reshape(-1, world.support_size)
+    latents = world.support
+    m = len(latents)
+    ids, rank = np.unique(world.obs_ids, return_inverse=True)
+    ids = [int(v) for v in ids]
+    obs = rank.reshape(-1)[perms]  # (k, m): observation rank of each latent row
+    probs = world.support_probs[perms]
+
+    if kind == RESTRICTED_LABELING:
+        labels = list(product(*(range(world.cards[c]) for c in cols)))
+        label = np.array([labels.index(tuple(int(v) for v in latents[r, cols])) for r in range(m)])
+        outcomes = [(o, lab) for o in ids for lab in labels]
+        keys, weights = obs * len(labels) + label, probs
+    elif kind == MATCH_PAIRING:
+        first_seen: dict = {}  # group ids in order of first appearance, as rows_by_key
+        group = np.array(
+            [first_seen.setdefault(tuple(int(v) for v in latents[r, cols]), len(first_seen)) for r in range(m)]
+        )
+        rows = [r for g in range(len(first_seen)) for r in np.flatnonzero(group == g)]
+        r, r2 = np.array([(r, r2) for r in rows for r2 in rows if group[r] == group[r2]]).T
+        k, groups = len(perms), len(first_seen)
+        cell = (np.arange(k)[:, None] * groups + group).reshape(-1)
+        mass = np.bincount(cell, weights=probs.reshape(-1), minlength=k * groups).reshape(k, groups)
+        outcomes = [(a, b) for a in ids for b in ids]
+        keys, weights = obs[:, r] * len(ids) + obs[:, r2], probs[:, r] * probs[:, r2] / mass[:, group[r]]
+    else:
+        assert kind == RANK_PAIRING
+        c = cols[0]
+        r, r2 = (v.reshape(-1) for v in np.indices((m, m)))
+        y = (latents[r, c] >= latents[r2, c]).astype(np.int64)
+        outcomes = [(a, b, bit) for a in ids for b in ids for bit in (0, 1)]
+        keys, weights = (obs[:, r] * len(ids) + obs[:, r2]) * 2 + y, probs[:, r] * probs[:, r2]
+
+    k, size = len(perms), len(outcomes)
+    flat = (np.arange(k)[:, None] * size + keys).reshape(-1)
+    tables = np.bincount(flat, weights=weights.reshape(-1), minlength=k * size).reshape(k, size)
+    return outcomes, tables
+
+
+def brute_matched(world: DiscreteWorld, specs) -> list[tuple[int, ...]]:
+    """Reference enumerator: every bijection, in ``itertools.permutations``
+    order, whose ``reference_tables`` match the world's within ``MASS_TOL``
+    in sup norm (``reference_match`` over all m! bijections at once)."""
+    perms = np.array(list(permutations(range(world.support_size))))
+    ok = np.ones(len(perms), dtype=bool)
+    for spec in specs:
+        oracle = reference_tables(world, np.arange(world.support_size), spec)[1]
+        ok &= np.abs(reference_tables(world, perms, spec)[1] - oracle).max(axis=1) <= MASS_TOL
+    return [tuple(p) for p in perms[ok].tolist()]
 
 
 # off-diagonal rows carry mass 1e-13 <= MASS_TOL, so bijections that break the

@@ -114,9 +114,11 @@ def test_criterion_3_counterexample_suite_exact():
 
 
 def test_criterion_4_calculus_soundness_sweep():
-    c = Criterion(4, "guarded closure derives no false fact", 3.0)  # about 3x the 0.8-1.1 s measured
+    # 3x the slowest time measured (0.46-0.86 s alone, 0.84-1.73 s beside two
+    # benchmark processes on 2 CPUs) exceeds 3.0 s, so the budget stays
+    c = Criterion(4, "guarded closure derives no false fact", 3.0)
     exhaustive = exhaustive_bijection_sweep(uniform_world((2, 2)))
-    random_part = soundness_sweep(seed=7, trials=1000, n_max=3, card_max=3)
+    random_part = soundness_sweep(seed=7, trials=1000)
     ok = exhaustive.passed and random_part.passed
     c.finish(
         ok,

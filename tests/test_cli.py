@@ -203,6 +203,8 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["score", *CNR, "--samples", "0"],
         ["score", *CNR, "--samples", "-3"],
         ["score", *CNR, "--seed", "-1"],
+        ["score", *CNR, "--facts", "C{1}", "--tol", "-1"],
+        ["score", *CNR, "--facts", "C{1}", "--tol", "nan"],
         ["score", "--world", "rotation", "--mode", "exact"],
         ["score", "--world", "{tmp}/arity.json"],
         ["score", "--world", "{tmp}"],
@@ -221,6 +223,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "validate", "{tmp}/ordered-string.json"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
+         "tol-negative", "tol-nan",
          "exact-on-continuous", "world-arity", "world-directory", "spec-token", "out-directory",
          "eta-query-range", "verify-samples-zero", "support-max-zero", "support-max-three",
          "support-max-nine", "world-n-huge", "world-cards-huge", "world-prior-huge",

@@ -19,8 +19,16 @@ from disentlab import (
 )
 from disentlab import learner
 from disentlab.errors import SupportTooLarge
+from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, RESTRICTED_LABELING
 from disentlab.verify import battery_specs, theorem_battery
-from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
+from reference_tables import (
+    GROUP_MASS_EDGE,
+    TOLERANCE_EDGE,
+    brute_matched,
+    reference_match,
+    reference_table,
+    reference_tables,
+)
 
 CAP_BUDGET_S = 1.2  # about 3x the largest time measured at support 8 (0.39 s, two competing processes on 2 CPUs)
 
@@ -29,27 +37,35 @@ def spec(kind, *indices):
     return SupervisionSpec(kind, tuple(indices))
 
 
-def brute_matched(world, specs):
-    """Reference enumerator: every bijection whose tables match the oracle's,
-    by the dictionary-loop reference tables (the learner shares its table
-    builder with ``augmented_table``, so that cannot serve as the oracle)."""
-    refs = [reference_table(world, s) for s in specs]
-    return [
-        perm
-        for perm in permutations(range(world.support_size))
-        if all(
-            reference_match(reference_table(CandidateModel(world, perm), s), ref)
-            for s, ref in zip(specs, refs)
-        )
-    ]
-
-
 def matched_perms(world, specs):
     return [tuple(int(v) for v in m.perm) for m in enumerate_matched(world, specs)]
 
 
 def complete_share(n):
     return [spec("share-pairing", i) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "world", [TOLERANCE_EDGE, GROUP_MASS_EDGE, uniform_world((2, 2))], ids=["tolerance-edge", "group-mass-edge", "uniform22"]
+)
+def test_vectorised_reference_tables_equal_dictionary_tables(world):
+    """The brute-force enumerator's arrays hold the dictionary reference
+    tables float.hex for float.hex, on every bijection and for each family
+    (labeling, match pairing and rank pairing over every index set), and
+    match the same bijections as ``reference_match``."""
+    perms = list(permutations(range(world.support_size)))
+    specs = battery_specs(world)
+    assert {s.validate_for(world)[0] for s in specs} == {RESTRICTED_LABELING, MATCH_PAIRING, RANK_PAIRING}
+    for s in specs:
+        outcomes, tables = reference_tables(world, perms, s)
+        oracle = reference_table(world, s)
+        for perm, row in zip(perms, tables.tolist()):
+            ref = reference_table(CandidateModel(world, perm), s)
+            assert set(ref) <= set(outcomes), (perm, s)
+            got = {key: value.hex() for key, value in zip(outcomes, row) if key in ref or value != 0.0}
+            assert got == {key: value.hex() for key, value in ref.items()}, (perm, s)
+        matched = [p for p in perms if reference_match(reference_table(CandidateModel(world, p), s), oracle)]
+        assert brute_matched(world, [s]) == matched, s
 
 
 @pytest.mark.parametrize("seed", [11, 13])

@@ -320,22 +320,52 @@ def test_batched_numerators_equal_per_model(seed):
             perms = matched_perms(world, [spec])
             I = spec.guaranteed_index_set(world.n)
             for J in (I, I.complement()):
-                batch = metrics.generator_raw_consistency(world, perms, J)
+                batch = metrics._exact_stats(
+                    world.support, world.support_probs[perms], world.support[perms], world.cards, [J]
+                )[0][:, 0]
                 assert batch.shape == (len(perms),)
                 for perm, num in zip(perms, batch.tolist()):
                     ref = raw_consistency(gen_target(CandidateModel(world, perm)), J)
                     assert num.hex() == ref.hex(), (world, spec, perm, J)
 
 
+def _every_fact(n):
+    return [Fact(kind, IndexSet(n, bits)) for bits in range(1 << n) for kind in "CRD"]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_multi_set_call_equals_one_set_calls(seed):
+    """One engine call over every index set (and one verdict call over every
+    C/R/D fact) gives, for every matched model of the battery, the same
+    numerators float.hex for float.hex and the same verdicts as one call
+    per set (per fact)."""
+    for world in theorem_battery(support_max=6, seed=seed):
+        n = world.n
+        sets = [IndexSet(n, bits) for bits in range(1 << n)]
+        facts = _every_fact(n)
+        for spec in battery_specs(world):
+            perms = matched_perms(world, [spec])
+            view = world.support, world.support_probs[perms], world.support[perms], world.cards
+            nums = metrics._exact_stats(*view, sets)[0]
+            assert nums.shape == (len(perms), len(sets))
+            for j, I in enumerate(sets):
+                one = metrics._exact_stats(*view, [I])[0][:, 0]
+                assert [v.hex() for v in nums[:, j].tolist()] == [v.hex() for v in one.tolist()], (world, spec, I)
+            verdicts = metrics.generator_holds(world, perms, facts)
+            assert verdicts.shape == (len(perms), len(facts))
+            for j, fact in enumerate(facts):
+                assert verdicts[:, j].tolist() == metrics.generator_holds(world, perms, fact).tolist(), fact
+
+
 def test_batched_verdicts_equal_per_model_and_brute_force(world22):
     perms = np.array(list(permutations(range(4))))
     models = [CandidateModel(world22, perm) for perm in perms]
-    for bits in range(4):
-        for kind in "CRD":
-            fact = Fact(kind, IndexSet(2, bits))
-            batch = metrics.generator_holds(world22, perms, fact).tolist()
-            assert batch == [holds(gen_target(m), fact) for m in models], fact
-            assert batch == [check_fact_brute(world22, m, fact) for m in models], fact
+    every = metrics.generator_holds(world22, perms, _every_fact(2))
+    for j, fact in enumerate(_every_fact(2)):
+        batch = metrics.generator_holds(world22, perms, fact).tolist()
+        assert every[:, j].tolist() == batch, fact
+        assert batch == [holds(gen_target(m), fact) for m in models], fact
+        assert batch == [check_fact_brute(world22, m, fact) for m in models], fact
     r1 = Fact("R", IndexSet.of([1], 2))
     assert (~metrics.generator_holds(world22, perms, r1)).sum() == 16
     label1 = matched_perms(world22, [SupervisionSpec("restricted-labeling", (1,))])
@@ -345,6 +375,17 @@ def test_batched_verdicts_equal_per_model_and_brute_force(world22):
 def test_batched_verdicts_on_empty_matched_set(world22):
     none = np.empty((0, 4), dtype=np.int64)
     assert metrics.generator_holds(world22, none, Fact("D", IndexSet.of([1], 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_verdicts_reject_negative_or_nan_tol(world22, tol):
+    fact = Fact("C", IndexSet.of([1], 2))
+    target = gen_target(CandidateModel.identity(world22))
+    for mode in ("exact", "mc"):
+        with pytest.raises(MetricError, match="tol must be a nonnegative number"):
+            holds(target, fact, tol=tol, mode=mode, samples=10)
+    with pytest.raises(MetricError, match="tol must be a nonnegative number"):
+        metrics.generator_holds(world22, [[0, 1, 2, 3]], fact, tol=tol)
 
 
 def test_holds_mc_draws_only_conditional_pairs(xor_model, monkeypatch):

@@ -16,6 +16,7 @@ from disentlab import (
     exhaustive_bijection_sweep,
     holds,
     random_world,
+    raw_consistency,
     run_counterexample_suite,
     schematic_world,
     soundness_sweep,
@@ -24,6 +25,7 @@ from disentlab import (
 )
 from disentlab import verify
 from disentlab.errors import SupportTooLarge
+from disentlab.metrics import EXACT_TOL
 from disentlab.worlds import DEFAULT_SUPPORT_CAP
 from reference_calculus import reference_closure, reference_zigzag_guard
 
@@ -115,16 +117,29 @@ def test_guarded_closure_equals_reference_on_sweep_trials():
     atoms as the IndexSet saturation on 2,000 soundness-sweep trials."""
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(17).spawn(2000)]
     for trial_seed in seeds:
-        n, model, _, axioms = verify._sweep_case(trial_seed, 3, 3)
+        n, model, _, axioms = verify._sweep_case(trial_seed)
         got, expected = _guarded_pair(axioms, n, model.support)
         assert got == expected, trial_seed
+
+
+def test_true_atoms_equal_per_set_reading_on_sweep_trials():
+    """The one verdict call of ``_true_atoms`` over all 2^n index sets reads
+    the same atoms as one ``raw_consistency`` call per set on 2,000 trials."""
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(23).spawn(2000)]
+    for trial_seed in seeds:
+        n, model, truths, _ = verify._sweep_case(trial_seed)
+        target = EvaluationTarget.generator_based(model)
+        zero = [raw_consistency(target, IndexSet(n, bits)) <= EXACT_TOL for bits in range(1 << n)]
+        full = (1 << n) - 1
+        expected = {("C", b) for b in range(1 << n) if zero[b]} | {("R", b) for b in range(1 << n) if zero[full ^ b]}
+        assert truths == expected, trial_seed
 
 
 def test_guarded_closure_equals_reference_on_every_bijection_of_uniform22():
     world = uniform_world((2, 2))
     for perm in permutations(range(world.support_size)):
         model = CandidateModel(world, perm)
-        truths = verify._true_atoms(EvaluationTarget.generator_based(model), world.n)
+        truths = verify._true_atoms(world, [perm])[0]
         axioms = [Fact(k, IndexSet(world.n, b)) for k, b in sorted(truths)]
         got, expected = _guarded_pair(axioms, world.n, model.support)
         assert got == expected, perm
