@@ -130,11 +130,13 @@ class EvaluationTarget:
 # -- exact engine ----------------------------------------------------------------
 
 
-def _exact_stats(support, probs, mapped, cards, sets):
+def _exact_stats(support, probs, mapped, cards, sets, gap: bool = False):
     """(numerator, gap) of the conditional-resampling deviation of every
     index set in ``sets``, for models sharing one latent support: ``probs``
     is (..., m) and ``mapped`` (..., m, n), so a single model has no batch
-    axis, and both results are (..., len(sets)).
+    axis, and both results are (..., len(sets)).  The gap is computed only
+    when asked for (``gap=True``, the normalized scores); otherwise it is
+    None, since a verdict reads the numerator alone.
 
     For an index set I, numerator = sum over the groups of rows that agree
     on I of the within-group probability that an i.i.d. pair of measured
@@ -149,7 +151,7 @@ def _exact_stats(support, probs, mapped, cards, sets):
     k = probs.size // len(support)
     model = np.arange(k).reshape(batch + (1,))
     num = np.zeros(batch + (len(sets),))
-    gap = np.zeros(batch + (len(sets),))
+    gaps = np.zeros(batch + (len(sets),))
     for s, I in enumerate(sets):
         if I.n != support.shape[1] or I.nuisance:
             raise ArityMismatch(f"index set {I!r} does not match target arity {support.shape[1]}")
@@ -165,25 +167,27 @@ def _exact_stats(support, probs, mapped, cards, sets):
             cond = table / w[..., None]
             row_sum = cond.sum(axis=-1)
             num_I = num_I + (w * (cond * (row_sum[..., None] - cond)).sum(axis=-1)).sum(axis=-1)
-            marginal = (w[..., None] * cond).sum(axis=-2)
-            gap_I = gap_I + (w[..., None] * (cond - marginal[..., None, :]) ** 2).sum(axis=(-2, -1))
-        num[..., s], gap[..., s] = num_I, gap_I
-    return num, gap
+            if gap:
+                marginal = (w[..., None] * cond).sum(axis=-2)
+                gap_I = gap_I + (w[..., None] * (cond - marginal[..., None, :]) ** 2).sum(axis=(-2, -1))
+        num[..., s], gaps[..., s] = num_I, gap_I
+    return num, gaps if gap else None
 
 
 def _fact_verdicts(raw, facts, tol: float) -> np.ndarray:
     """Verdicts of one C/R/D fact (shape (...)) or of a list of them
     (..., F) from one call ``raw(sets)``, the raw consistency (..., S) of a
-    list of index sets: C(I) reads I, R(I) reads ~I, and D(I) reads both."""
+    list of distinct index sets: C(I) reads I, R(I) reads ~I, and D(I)
+    reads both."""
     if not tol >= 0:  # NaN fails too
         raise MetricError(f"tol must be a nonnegative number, got {tol!r}")
     single = isinstance(facts, Fact)
-    sets, starts = [], []  # each fact's sets in a row: C and R read one, D two
+    slots, reads, starts = {}, [], []  # each fact's reads in a row: C and R one, D two
     for f in [facts] if single else facts:
         I = ~f.index_set if f.kind == "R" else f.index_set
-        starts.append(len(sets))
-        sets += [I, ~I] if f.kind == "D" else [I]
-    ok = np.logical_and.reduceat(raw(sets) <= tol, starts, axis=-1)
+        starts.append(len(reads))
+        reads += [slots.setdefault(J, len(slots)) for J in ([I, ~I] if f.kind == "D" else [I])]
+    ok = np.logical_and.reduceat((raw(list(slots)) <= tol)[..., reads], starts, axis=-1)
     return ok[..., 0] if single else ok
 
 
@@ -287,7 +291,7 @@ def _ratio_std_error(num_devs, den_devs) -> float:
 
 def _normalized(target, I, kind, report_set, mode, samples, seed):
     if mode == "exact":
-        num, gap = (float(a[0]) for a in _exact_stats(*target.exact_view(), [I]))
+        num, gap = (float(a[0]) for a in _exact_stats(*target.exact_view(), [I], gap=True))
         den = num + gap
         if den <= DEGENERACY_THRESHOLD:
             raise DegenerateDenominator(
@@ -420,6 +424,8 @@ def mig(
         gaps = _gap_scores(joint_fn, target.n, factor_marginals)
         return MigReport(gaps, float(np.mean(gaps)), "exact")
 
+    if samples < 1:
+        raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
     sampler, measure = target.mc_parts()
     rng = np.random.default_rng(seed)
     z = sampler.sample_latents(rng, samples)
@@ -492,26 +498,31 @@ def mc_match_check(
 
     Records are binned on a pooled equal-mass grid of 4 bins per dimension
     and compared by the squared difference of cell frequencies; the pass
-    threshold is calibrated by a 200-draw permutation test at significance
-    level 0.01.
+    threshold is the 0.99 quantile of 200 draws from the permutation null,
+    a test at significance level 0.01.  The statistic depends only on cell
+    counts, so a random permutation of the pooled records is drawn as what
+    it does to them: a multivariate hypergeometric split of the pooled
+    counts, one split at a time.
     """
     if not isinstance(oracle, DiskRotationWorld):
         raise MetricError("mc_match_check compares samplers of a continuous world")
+    if samples < 1:
+        raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
     seq = np.random.SeedSequence(seed).spawn(3)
     a = sample_features(oracle, spec, np.random.default_rng(seq[0]), samples)
     b = sample_features(model, spec, np.random.default_rng(seq[1]), samples)
     cells_a, cells_b, n_cells = _grid_cells(a, b, 4)
+    first = np.bincount(cells_a, minlength=n_cells)
+    counts = first + np.bincount(cells_b, minlength=n_cells)
+    occupied = counts > 0
+    first, counts = first[occupied], counts[occupied]
 
-    stat = _freq_stat(cells_a, cells_b, n_cells)
-    pooled = np.concatenate([cells_a, cells_b])
+    stat = _split_stat(first, counts, samples)
     rng = np.random.default_rng(seq[2])
-    perm_stats = np.empty(200)
-    for t in range(len(perm_stats)):
-        shuffled = rng.permutation(pooled)
-        perm_stats[t] = _freq_stat(shuffled[:samples], shuffled[samples:], n_cells)
-    threshold = float(np.quantile(perm_stats, 0.99))
-    p_value = float((1 + (perm_stats >= stat).sum()) / (len(perm_stats) + 1))
-    return MatchCheckResult(bool(stat <= threshold), float(stat), threshold, p_value, samples, seed)
+    null = np.array([_split_stat(x, counts, samples) for x in _null_splits(rng, counts, samples, 200)])
+    threshold = float(np.quantile(null, 0.99))
+    p_value = float((1 + (null >= stat).sum()) / (len(null) + 1))
+    return MatchCheckResult(bool(stat <= threshold), stat, threshold, p_value, samples, seed)
 
 
 def _grid_cells(a: np.ndarray, b: np.ndarray, bins_per_dim: int):
@@ -526,7 +537,15 @@ def _grid_cells(a: np.ndarray, b: np.ndarray, bins_per_dim: int):
     return ids_a, ids_b, bins_per_dim**d
 
 
-def _freq_stat(cells_a, cells_b, n_cells: int) -> float:
-    fa = np.bincount(cells_a, minlength=n_cells) / len(cells_a)
-    fb = np.bincount(cells_b, minlength=n_cells) / len(cells_b)
-    return float(((fa - fb) ** 2).sum())
+def _null_splits(rng, counts: np.ndarray, half: int, draws: int):
+    """First-half cell counts of ``draws`` uniformly random splits of the
+    pooled records (cell counts ``counts``) into two halves of ``half``,
+    drawn one at a time so no (draws, cells) array is held."""
+    for _ in range(draws):
+        yield rng.multivariate_hypergeometric(counts, half, method="marginals")
+
+
+def _split_stat(first: np.ndarray, counts: np.ndarray, half: int) -> float:
+    """Squared distance between the cell frequencies of the two halves,
+    from the first half's counts and the pooled counts."""
+    return float((((2 * first - counts) / half) ** 2).sum())

@@ -143,7 +143,7 @@ def test_criterion_5_theorem_guarantee_universality():
 
 
 def test_criterion_6_impossibility():
-    c = Criterion(6, "labeling is insufficient for restrictiveness", 3)
+    c = Criterion(6, "labeling is insufficient for restrictiveness", 0.5)
     world = uniform_world((2, 2))
     label1 = SupervisionSpec("restricted-labeling", (1,))
     matched = enumerate_matched(world, [label1])

@@ -24,7 +24,7 @@ from disentlab import (
     zigzag_guard,
 )
 from disentlab import verify
-from disentlab.errors import SupportTooLarge
+from disentlab.errors import MetricError, SupportTooLarge
 from disentlab.metrics import EXACT_TOL
 from disentlab.worlds import DEFAULT_SUPPORT_CAP
 from reference_calculus import reference_closure, reference_zigzag_guard
@@ -159,6 +159,11 @@ def test_counterexample_suite_passes():
         "rotation-consistent-unrestricted",
         "zigzag-violation",
     ]
+
+
+def test_counterexample_suite_rejects_zero_samples():
+    with pytest.raises(MetricError, match="Monte-Carlo mode needs at least one sample, got 0"):
+        run_counterexample_suite(seed=0, samples=0)
 
 
 def test_report_serialization():
