@@ -10,24 +10,28 @@ the conjunction C(I) and R(I).  The rule set has six schemas:
     r_intersect   R(I) & R(J) => R(I & J)
     trivial       C({}), R({}), C(full), R(full)
 
-Queries need no saturation.  Without a guard, the C-atoms of the closure
-are the sublattice of subsets of the universe that the generators span:
-the C-axioms, the complements of the R-axioms, {} and the full set
-(Birkhoff's representation theorem for finite distributive lattices).
-Its R-atoms are the complements of its C-atoms.  With down(j) the
-intersection of the generators that contain j, C(I) is in the closure iff
-down(j) is a subset of I for every j in I.  ``derive`` and ``entails``
-answer queries this way and write each derivation directly: c_intersect
-steps build down(j) and c_union steps join those into I; an R-atom takes
-the dual steps, r_union and r_intersect, over the R-generators.
+The complement rule is never guarded, so a closure holds R(I) exactly when
+it holds C(~I).  A ``FactSet`` therefore keeps one family of
+C-coordinates: I for C(I), ~I for R(I).  r_union on R-atoms is
+c_intersect on their C-coordinates, and r_intersect is c_union.
+
+Without a guard the family is the sublattice of subsets of the universe
+that the generators span: the C-axioms, the complements of the R-axioms,
+{} and the full set (Birkhoff's representation theorem for finite
+distributive lattices).  With down(j) the intersection of the generators
+that contain j, I is in the family iff down(j) is a subset of I for every
+j in I, and the family is every union of down-sets.  ``closure`` lists it
+that way; ``derive`` and ``entails`` test membership and write each
+derivation directly: c_intersect steps build down(j) and c_union steps
+join those into I; an R-atom takes the dual steps, r_union and
+r_intersect, over the R-generators.  Only ``derive`` writes traces.
 
 r_union and c_intersect are only sound on supports whose zig-zag
 connectivity holds for the participating sets; callers that care pass a
-guard predicate, consulted with (rule, I bits, J bits) before those rules
-fire.  The lattice argument does not cover a guard, so ``closure``
-saturates: each atom it pops is paired with every member of its kind,
-over plain int bitmasks.  Every atom carries a trace (rule name plus
-premises) back to the axioms.
+guard predicate, consulted with (rule, I bits, J bits).  The lattice
+argument does not cover a guard, so a guarded ``closure`` saturates the
+family: unions always fire, an intersection only when
+``guard("c_intersect", a, b)`` allows it.
 
 The nuisance extension adds one unsupervisable index eta: eta-consistency
 of I is plain consistency of I, eta-restrictiveness of I is plain
@@ -37,7 +41,6 @@ restrictiveness of I plus eta.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -53,11 +56,10 @@ KIND_D = "D"
 
 # (rule, I bits, J bits) -> whether that single rule application may fire
 RuleGuard = Callable[[str, int, int], bool]
-# kind -> (the other kind, its union rule, its intersection rule)
-_RULES = {KIND_C: (KIND_R, "c_union", "c_intersect"), KIND_R: (KIND_C, "r_union", "r_intersect")}
-# kind -> (meet rule, join rule) of its lattice, read in C coordinates: the
-# R-atoms are complements of C-atoms, so meets of R-generators are unions
-_LATTICE_RULES = {KIND_C: ("c_intersect", "c_union"), KIND_R: ("r_union", "r_intersect")}
+# kind -> (the other kind, meet rule, join rule) of its lattice, read in C
+# coordinates: the R-atoms are complements of C-atoms, so meets of
+# R-generators are unions
+_RULES = {KIND_C: (KIND_R, "c_intersect", "c_union"), KIND_R: (KIND_C, "r_union", "r_intersect")}
 
 
 @dataclass(frozen=True, order=True)
@@ -81,22 +83,20 @@ class Fact:
         return f"{self.kind}{self.index_set}"
 
 
-def fact(kind: str, indices: Iterable[int], n: int, nuisance: bool = False) -> Fact:
-    return Fact(kind, IndexSet.of(indices, n, nuisance))
-
-
 class FactSet:
-    """A set of canonical C/R atoms with derivation traces."""
+    """A family of C-coordinates (I for C(I), ~I for R(I)), with the
+    derivation traces that ``derive`` writes."""
 
     def __init__(self, n: int, nuisance: bool = False):
         if n < 1:
             raise CalculusError(f"arity must be >= 1, got {n}")
-        if n + (1 if nuisance else 0) > MAX_UNIVERSE:
-            raise ArityTooLarge(f"universe of size {n} exceeds the cap of {MAX_UNIVERSE}")
+        size = n + (1 if nuisance else 0)
+        if size > MAX_UNIVERSE:
+            raise ArityTooLarge(f"universe of size {size} exceeds the cap of {MAX_UNIVERSE}")
         self.n = n
         self.nuisance = nuisance
-        self.mask = (1 << (n + (1 if nuisance else 0))) - 1
-        self.atoms: set[tuple[str, int]] = set()
+        self.mask = (1 << size) - 1
+        self.family: set[int] = set()
         self.traces: dict[tuple[str, int], tuple[str, tuple]] = {}
 
     # -- membership ------------------------------------------------------------
@@ -105,9 +105,18 @@ class FactSet:
         if (I.n, I.nuisance) != (self.n, self.nuisance):
             raise CalculusError(f"index set {I!r} outside this fact set's universe")
 
+    def _coord(self, kind: str, bits: int) -> int:
+        return bits if kind == KIND_C else bits ^ self.mask
+
+    @property
+    def atoms(self) -> set[tuple[str, int]]:
+        """Every C/R atom the family holds."""
+        mask = self.mask
+        return {(KIND_C, b) for b in self.family} | {(KIND_R, b ^ mask) for b in self.family}
+
     def contains(self, f: Fact) -> bool:
         self._check(f.index_set)
-        return all(a in self.atoms for a in f.atoms())
+        return all(self._coord(*a) in self.family for a in f.atoms())
 
     def contains_eta(self, f: Fact) -> bool:
         """Query an eta-fact: the index set ranges over regular factors only."""
@@ -117,25 +126,18 @@ class FactSet:
         return IndexSet(self.n, bits, self.nuisance)
 
     def facts(self) -> list[Fact]:
-        return sorted(Fact(k, self.index_set(b)) for k, b in self.atoms)
+        return [Fact(k, self.index_set(b)) for k, b in sorted(self.atoms)]
 
     def derived_d(self) -> list[Fact]:
-        """All D(I) whose two constituents are present."""
-        c_bits = {b for k, b in self.atoms if k == KIND_C}
-        r_bits = {b for k, b in self.atoms if k == KIND_R}
-        return [Fact(KIND_D, self.index_set(b)) for b in sorted(c_bits & r_bits)]
-
-    # -- construction ------------------------------------------------------------
-
-    def _add(self, kind: str, bits: int, rule: str, premises: tuple) -> bool:
-        atom = (kind, bits)
-        if atom in self.atoms:
-            return False
-        self.atoms.add(atom)
-        self.traces[atom] = (rule, premises)
-        return True
+        """All D(I) whose two constituents are present: I and ~I in the family."""
+        return [Fact(KIND_D, self.index_set(b)) for b in sorted(self.family) if b ^ self.mask in self.family]
 
     # -- traces --------------------------------------------------------------------
+
+    def _add(self, kind: str, bits: int, rule: str, premises: tuple) -> None:
+        if (kind, bits) not in self.traces:
+            self.traces[(kind, bits)] = (rule, premises)
+            self.family.add(self._coord(kind, bits))
 
     def trace_lines(self, f: Fact) -> list[str]:
         """Replay the derivation of a fact back to axioms, premises first."""
@@ -154,31 +156,40 @@ class FactSet:
             lines.append(f"{Fact(atom[0], self.index_set(atom[1]))} <= {rule}({shown})")
 
         for atom in f.atoms():
-            if atom not in self.atoms:
-                raise CalculusError(f"{f} is not in this fact set")
+            if atom not in self.traces:
+                raise CalculusError(f"{f} has no derivation in this fact set")
             visit(atom)
         return lines
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return 2 * len(self.family)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FactSet)
             and (self.n, self.nuisance) == (other.n, other.nuisance)
-            and self.atoms == other.atoms
+            and self.family == other.family
         )
 
 
-def _seed(fs: FactSet, axioms: Iterable[Fact]) -> None:
-    """The four trivial atoms, then the atoms of the axioms."""
-    for kind in (KIND_C, KIND_R):
-        fs._add(kind, 0, "trivial", ())
-        fs._add(kind, fs.mask, "trivial", ())
+def _generators(fs: FactSet, axioms: Iterable[Fact]) -> list[int]:
+    """C-coordinates of the four trivial atoms, then of the axioms."""
+    gens = [0, fs.mask]
     for f in axioms:
         fs._check(f.index_set)
-        for kind, bits in f.atoms():
-            fs._add(kind, bits, "axiom", ())
+        gens.extend(fs._coord(*a) for a in f.atoms())
+    return gens
+
+
+def _down_sets(gens: Iterable[int], mask: int) -> list[int]:
+    """down(j), the intersection of the generators that contain j, for
+    every j of the universe."""
+    down = [mask] * mask.bit_length()
+    for g in gens:
+        for j in range(len(down)):
+            if g >> j & 1:
+                down[j] &= g
+    return down
 
 
 def closure(
@@ -187,35 +198,29 @@ def closure(
     nuisance: bool = False,
     guard: RuleGuard | None = None,
 ) -> FactSet:
-    """Least fixpoint of the rule set over the axioms.
+    """Least fixpoint of the rule set over the axioms, as a family of
+    C-coordinates with no traces.
 
-    The guard, when given, is consulted with (rule, I bits, J bits) before
-    any union/intersection rule fires whose conclusion is new; returning
-    False suppresses that single application.  Derivations are recorded
-    for every atom.
+    Without a guard the family is every union of down-sets.  With one it
+    is saturated: unions always fire, and an intersection whose result is
+    new fires only if ``guard("c_intersect", a, b)`` allows it.
     """
     fs = FactSet(n, nuisance)
-    _seed(fs, axioms)
-    atoms, mask = fs.atoms, fs.mask
-    queue = deque(fs.traces)
-    members: dict[str, list[int]] = {KIND_C: [], KIND_R: []}
-    for kind, bits in queue:
-        members[kind].append(bits)
-
-    def add(kind, bits, rule, premises):
-        if fs._add(kind, bits, rule, premises):
-            members[kind].append(bits)
-            queue.append((kind, bits))
-
-    while queue:
-        atom = queue.popleft()
-        kind, bits = atom
-        other, union_rule, inter_rule = _RULES[kind]
-        add(other, bits ^ mask, "complement", (atom,))
-        for b2 in members[kind][:]:
-            for rule, result in ((union_rule, bits | b2), (inter_rule, bits & b2)):
-                if (kind, result) not in atoms and (guard is None or guard(rule, bits, b2)):
-                    add(kind, result, rule, (atom, (kind, b2)))
+    gens = _generators(fs, axioms)
+    family = fs.family
+    if guard is None:
+        family.add(0)
+        for d in set(_down_sets(gens, fs.mask)):
+            family |= {f | d for f in family}
+        return fs
+    family.update(gens)
+    members = list(family)
+    for a in members:  # grows as the loop runs: every new member is paired too
+        for b in members[:]:
+            for result, free in ((a | b, True), (a & b, False)):
+                if result not in family and (free or guard("c_intersect", a, b)):
+                    family.add(result)
+                    members.append(result)
     return fs
 
 
@@ -228,22 +233,25 @@ def derive(axioms: Iterable[Fact], queries: Iterable[Fact], n: int, nuisance: bo
     absent unless such a derivation passes through them.
     """
     fs = FactSet(n, nuisance)
-    _seed(fs, axioms)
     mask = fs.mask
+    for kind in (KIND_C, KIND_R):
+        fs._add(kind, 0, "trivial", ())
+        fs._add(kind, mask, "trivial", ())
+    for f in axioms:
+        fs._check(f.index_set)
+        for kind, bits in f.atoms():
+            fs._add(kind, bits, "axiom", ())
     for kind, bits in list(fs.traces):
         fs._add(_RULES[kind][0], bits ^ mask, "complement", ((kind, bits),))
     gens = [bits for kind, bits in fs.traces if kind == KIND_C]
-    universe = range(mask.bit_length())
-    down = [mask] * len(universe)
-    for g in gens:
-        for j in universe:
-            if g >> j & 1:
-                down[j] &= g
+    down = _down_sets(gens, mask)
     for q in queries:
         fs._check(q.index_set)
         for kind, bits in q.atoms():
-            target = bits if kind == KIND_C else bits ^ mask
-            if all(down[j] & ~target == 0 for j in universe if target >> j & 1):
+            target = fs._coord(kind, bits)
+            if (kind, bits) not in fs.traces and all(
+                down[j] & ~target == 0 for j in range(len(down)) if target >> j & 1
+            ):
                 _write_derivation(fs, kind, target, gens)
     return fs
 
@@ -254,13 +262,11 @@ def _write_derivation(fs: FactSet, kind: str, target: int, gens: list[int]) -> N
     joins of those give the target.  An R-atom's C-coordinates are its
     complement."""
     flip = 0 if kind == KIND_C else fs.mask
-    meet, join = _LATTICE_RULES[kind]
+    _, meet, join = _RULES[kind]
 
     def step(rule, a, b, result):
         fs._add(kind, result ^ flip, rule, ((kind, a ^ flip), (kind, b ^ flip)))
 
-    if (kind, target ^ flip) in fs.atoms:
-        return
     joined = None
     for j in range(fs.mask.bit_length()):
         if not target >> j & 1 or (joined is not None and joined >> j & 1):
@@ -315,21 +321,17 @@ def expand_eta_fact(f: Fact, n: int) -> list[Fact]:
     return [Fact(KIND_C, lifted), Fact(KIND_R, lifted.union(eta))]
 
 
-def nuisance_closure(
-    eta_axioms: Iterable[Fact],
-    n: int,
-    guard: RuleGuard | None = None,
-) -> FactSet:
-    """Closure over n factors plus the nuisance index.
+def nuisance_closure(eta_axioms: Iterable[Fact], n: int) -> FactSet:
+    """Unguarded closure over n factors plus the nuisance index.
 
     Axioms are eta-facts whose index sets range over the regular factors
     only (supervision cannot reference eta); they are expanded to base
-    facts over the extended universe and then saturated as usual.
+    facts over the extended universe and then closed as usual.
     """
     base_axioms: list[Fact] = []
     for f in eta_axioms:
         base_axioms.extend(expand_eta_fact(f, n))
-    return closure(base_axioms, n, nuisance=True, guard=guard)
+    return closure(base_axioms, n, nuisance=True)
 
 
 # -- supervision planning ------------------------------------------------------------------
@@ -390,7 +392,7 @@ def parse_facts(text: str, n: int, nuisance: bool = False) -> list[Fact]:
                 if not nuisance:
                     raise FactParseError("index 'eta' needs the nuisance universe")
                 indices.append(n + 1)
-            elif tok.isdigit():
+            elif tok.isascii() and tok.isdigit():
                 indices.append(int(tok))
             else:
                 raise FactParseError(f"bad index {tok!r} in {part.strip()!r}")

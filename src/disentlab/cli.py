@@ -319,12 +319,11 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
 @click.option("--n", "n_factors", type=int, required=True)
 @click.option("--axioms", default="", help="Conjunction like 'C{1,2} & C{2,3}'.")
 @click.option("--query", default=None, help="Fact conjunction to test for entailment.")
-@click.option("--closure", "show_closure", is_flag=True, help="Print the full closure.")
 @click.option("--nuisance", is_flag=True, help="Extend the universe with the eta index.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-def calc(n_factors, axioms, query, show_closure, nuisance, fmt):
-    """Closure and entailment queries over C/R/D facts."""
+def calc(n_factors, axioms, query, nuisance, fmt):
+    """Entailment queries over C/R/D facts; without --query, list the closure."""
     try:
         axiom_facts = parse_facts(axioms, n_factors, nuisance)
         if query is None:

@@ -59,9 +59,6 @@ class DiskRotationWorld:
         """g* is the identity: observations are the factor vectors."""
         return np.asarray(latents, dtype=float).copy()
 
-    def encode(self, observations: np.ndarray) -> np.ndarray:
-        return np.asarray(observations, dtype=float).copy()
-
 
 @dataclass(frozen=True)
 class RotationCandidate:
@@ -104,10 +101,6 @@ class RotationCandidate:
     def observe(self, latents: np.ndarray) -> np.ndarray:
         """g = g* . phi (g* is the identity)."""
         return self.phi(latents)
-
-    def encode(self, observations: np.ndarray) -> np.ndarray:
-        """e = phi^-1 . e*."""
-        return self.phi_inverse(observations)
 
 
 def rotation_world() -> tuple[DiskRotationWorld, RotationCandidate]:

@@ -88,9 +88,6 @@ class IndexSet:
     def __len__(self) -> int:
         return bin(self.bits).count("1")
 
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
     # -- algebra -----------------------------------------------------------
 
     def _check_same_universe(self, other: "IndexSet"):
@@ -108,10 +105,6 @@ class IndexSet:
         self._check_same_universe(other)
         return IndexSet(self.n, self.bits & other.bits, self.nuisance)
 
-    def difference(self, other: "IndexSet") -> "IndexSet":
-        self._check_same_universe(other)
-        return IndexSet(self.n, self.bits & ~other.bits, self.nuisance)
-
     def complement(self) -> "IndexSet":
         return IndexSet(self.n, self.bits ^ self._mask(), self.nuisance)
 
@@ -121,7 +114,6 @@ class IndexSet:
 
     __or__ = union
     __and__ = intersection
-    __sub__ = difference
     __invert__ = complement
 
     # -- rendering ---------------------------------------------------------

@@ -144,31 +144,25 @@ class VerificationReport:
 
 
 def zigzag_guard(support) -> RuleGuard:
-    """Guard that lets union/intersection rules fire only when the support
-    is zig-zag connected for the participating index sets.
+    """Guard that lets consistency intersection fire only when the support
+    is zig-zag connected for the complements of the participating index
+    sets (restrictiveness union on those complements, in C-coordinates).
 
-    Restrictiveness union needs connectivity for (I, J) directly;
-    consistency intersection for the complements.  The other rules hold
-    on any support and are never suppressed.  Verdicts are memoised by
-    the unordered pair of bitmasks.
+    The other rules hold on any support and are never suppressed.
+    Verdicts are memoised by the unordered pair of bitmasks.
     """
     support = np.asarray(support)
     n = support.shape[1]
     mask = (1 << n) - 1
     cache: dict[tuple[int, int], bool] = {}
 
-    def ok(a: int, b: int) -> bool:
-        key = (a, b) if a <= b else (b, a)
+    def guard(rule: str, I: int, J: int) -> bool:
+        if rule != "c_intersect":
+            return True
+        key = (I ^ mask, J ^ mask) if I >= J else (J ^ mask, I ^ mask)
         if key not in cache:
             cache[key] = zigzag_connected_support(support, IndexSet(n, key[0]), IndexSet(n, key[1]))
         return cache[key]
-
-    def guard(rule: str, I: int, J: int) -> bool:
-        if rule == "r_union":
-            return ok(I, J)
-        if rule == "c_intersect":
-            return ok(I ^ mask, J ^ mask)
-        return True
 
     return guard
 
@@ -216,7 +210,7 @@ def _unsound_atoms(axioms, n: int, guard: RuleGuard, truths) -> tuple[int, list[
     guarded closure of the axioms."""
     derived = closure(axioms, n, guard=guard)
     missing = sorted(atom for atom in derived.atoms if atom not in truths)
-    return len(derived.atoms), [Fact(kind, IndexSet(n, bits)) for kind, bits in missing]
+    return len(derived), [Fact(kind, IndexSet(n, bits)) for kind, bits in missing]
 
 
 def _sweep_case(trial_seed: int):

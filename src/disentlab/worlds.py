@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class DiscreteWorld:
             raise ZeroMassConditioning(f"tuple {tuple(latents[np.argmin(rows)].tolist())} has zero mass")
         return rows
 
-    def prob(self, factors: Sequence[int]) -> float:
-        return float(self.prior[tuple(int(v) for v in factors)])
-
     def generate(self, factors: Sequence[int]) -> int:
         """g*: factor tuple -> observation id."""
         return int(self.gen[tuple(int(v) for v in factors)])
@@ -133,9 +130,6 @@ class DiscreteWorld:
         obs_ids = np.asarray(obs_ids)
         i = np.minimum(np.searchsorted(self._sorted_ids, obs_ids), len(self._sorted_ids) - 1)
         return np.where(self._sorted_ids[i] == obs_ids, self._id_order[i], -1)
-
-    def index_set(self, indices: Iterable[int]) -> IndexSet:
-        return IndexSet.of(indices, self.n)
 
     def check_index_set(self, I: IndexSet):
         if I.n != self.n or I.nuisance:
@@ -364,9 +358,6 @@ class CandidateModel:
     def apply_enc(self, obs_id: int) -> tuple[int, ...]:
         """e = phi^-1 . e*."""
         return self.phi_inverse(self.base.encode(obs_id))
-
-    def prob(self, z: Sequence[int]) -> float:
-        return float(self.probs[self.base.row_of(z)])
 
     # -- sampling protocol ---------------------------------------------------
 

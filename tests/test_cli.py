@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from disentlab.calculus import MAX_UNIVERSE
 from disentlab.cli import main
 
+LISTING_BUDGET_S = 12.0  # about 3x the slowest of 2.2-4.2 s measured, 2 CPUs, with and without two busy processes
 MAX_UNIVERSE_BUDGET_S = 0.025  # about 3x the slowest of 2.3-8.3 ms measured, 2 CPUs, with and without two busy processes
 
 
@@ -211,6 +212,9 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["dataset", *CNR, "--spec", "share:a", "--out", "{tmp}/d.jsonl"],
         ["dataset", *CNR, "--spec", "share:1", "--out", "{tmp}"],
         ["calc", "--n", "2", "--nuisance", "--query", "Ceta{5}"],
+        ["calc", "--n", "3", "--query", "C{\u00b2}"],
+        ["calc", "--n", "3", "--query", "C{\u0663}"],
+        ["score", *CNR, "--facts", "C{\u00b2}"],
         ["verify", "--counterexamples", "--samples", "0"],
         ["verify", "--theorems", "--support-max", "0"],
         ["verify", "--theorems", "--support-max", "3"],
@@ -225,7 +229,8 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "tol-negative", "tol-nan",
          "exact-on-continuous", "world-arity", "world-directory", "spec-token", "out-directory",
-         "eta-query-range", "verify-samples-zero", "support-max-zero", "support-max-three",
+         "eta-query-range", "superscript-digit", "arabic-indic-digit", "score-superscript-digit",
+         "verify-samples-zero", "support-max-zero", "support-max-three",
          "support-max-nine", "world-n-huge", "world-cards-huge", "world-prior-huge",
          "world-gen-huge", "world-ordered-number", "world-ordered-string"],
 )
@@ -293,7 +298,6 @@ OPTIONS = {
         "--n": st.sampled_from(["-1", "0", "1", "2", "3", "17", "x"]),
         "--axioms": FACTS,
         "--query": FACTS,
-        "--closure": st.just(None),
         "--nuisance": st.just(None),
         "--format": st.sampled_from(["text", "json", "csv"]),
     },
@@ -404,7 +408,7 @@ def test_calc_empty_axioms_empty_d(runner):
 
 
 def test_calc_closure_listing(runner):
-    res = invoke(runner, "calc", "--n", "2", "--axioms", "C{1}", "--closure", "--format", "json")
+    res = invoke(runner, "calc", "--n", "2", "--axioms", "C{1}", "--format", "json")
     doc = json.loads(res.output)
     assert "C{1}" in doc["atoms"] and "R{2}" in doc["atoms"]
 
@@ -433,6 +437,19 @@ def test_calc_at_max_universe(runner):
     assert "C{1,3,5,7,9,11,13,15}" in heads and "R{1,3,5,7,9,11,13,15}" in heads
     assert json.loads(no.output) == {"entailed": False, "trace": []}
     assert elapsed < MAX_UNIVERSE_BUDGET_S, f"{elapsed:.3f} s"
+
+
+def test_calc_listing_at_max_universe(runner):
+    """Without --query, calc lists the closure of 16 singleton C axioms:
+    all 2^16 C-sets, each as C and as R, from the lattice."""
+    axioms = " & ".join(f"C{{{i}}}" for i in range(1, MAX_UNIVERSE + 1))
+    start = time.perf_counter()
+    res = invoke(runner, "calc", "--n", str(MAX_UNIVERSE), "--axioms", axioms, "--format", "json")
+    elapsed = time.perf_counter() - start
+    doc = json.loads(res.output)
+    assert len(doc["atoms"]) == 2 ** (MAX_UNIVERSE + 1)
+    assert len(doc["derived_d"]) == 2 ** MAX_UNIVERSE
+    assert elapsed < LISTING_BUDGET_S, f"{elapsed:.2f} s"
 
 
 def test_calc_parse_error_exits_two(runner):

@@ -6,6 +6,7 @@ import pytest
 
 from disentlab import (
     CandidateModel,
+    DiscreteWorld,
     EvaluationTarget,
     Fact,
     IndexSet,
@@ -143,6 +144,28 @@ def test_guarded_closure_equals_reference_on_every_bijection_of_uniform22():
         axioms = [Fact(k, IndexSet(world.n, b)) for k, b in sorted(truths)]
         got, expected = _guarded_pair(axioms, world.n, model.support)
         assert got == expected, perm
+
+
+def test_guarded_closure_equals_reference_at_n4():
+    """Beyond the sweep's n <= 3: 100 random sparse supports of four binary
+    factors, axioms all true atoms or a random half of them.  The guard
+    changes the closure in some trials, so the comparison covers
+    suppressed intersections."""
+    bitten = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(16, size=int(rng.integers(4, 11)), replace=False)
+        prior, gen = np.zeros((2,) * 4), np.full((2,) * 4, -1)
+        prior.flat[rows] = 1.0 / len(rows)
+        gen.flat[rows] = rng.permutation(len(rows))
+        world = DiscreteWorld((2,) * 4, prior, gen)
+        model = CandidateModel(world, rng.permutation(world.support_size))
+        truths = verify._true_atoms(world, [model.perm])[0]
+        axioms = [Fact(k, IndexSet(4, b)) for k, b in sorted(truths) if seed % 2 or rng.random() < 0.5]
+        got, expected = _guarded_pair(axioms, 4, model.support)
+        assert got == expected, seed
+        bitten += closure(axioms, 4).atoms != got
+    assert bitten > 0
 
 
 # -- named counterexamples -----------------------------------------------------------------
