@@ -18,7 +18,7 @@ import click
 from .calculus import closure, derive, parse_facts
 from .continuous import rotation_world
 from .errors import DegenerateDenominator, DisentlabError
-from .indexset import IndexSet
+from .indexset import IndexSet, parse_ints
 from .learner import MAX_ENUM_SUPPORT
 from .metrics import (
     EvaluationTarget,
@@ -152,12 +152,14 @@ def world_gen(seed, n_factors, cards, corr, schematic, out):
         if schematic:
             w, _ = schematic_world(schematic)
         else:
-            card_list = [int(tok) for tok in cards.split(",") if tok.strip()]
-            w = random_world(seed, n_factors, card_list, corr)
+            w = random_world(seed, n_factors, parse_ints(cards), corr)
     except (DisentlabError, ValueError) as exc:
         raise click.UsageError(str(exc))
     if out:
-        save_world(w, out)
+        try:
+            save_world(w, out)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {out!r}: {exc.strerror}")
         click.echo(f"wrote {out}")
     else:
         click.echo(json.dumps(w.to_doc()))
@@ -251,7 +253,7 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
             perm = _read_model_perm(model_file)
         else:
             try:
-                perm = [int(tok) for tok in bijection.split(",")]
+                perm = parse_ints(bijection)
             except ValueError:
                 raise click.UsageError(f"--bijection {bijection!r} is not a comma-separated list of integers")
         try:
@@ -269,7 +271,7 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
     n = model.n
     if sets:
         try:
-            index_sets = [IndexSet.of([int(t) for t in s.split(",") if t.strip()], n) for s in sets]
+            index_sets = [IndexSet.of(parse_ints(s), n) for s in sets]
         except (ValueError, DisentlabError) as exc:
             raise click.UsageError(f"bad --set for {n} factors: {exc}")
     else:

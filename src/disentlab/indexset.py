@@ -14,6 +14,16 @@ from .errors import ArityMismatch
 ETA = "eta"
 
 
+def parse_ints(text: str) -> list[int]:
+    """The comma-separated integers of ``text``, blank entries skipped.
+    Entries must be ASCII digits (``int`` alone takes other scripts' digits
+    too); anything else raises ValueError."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens if tok):
+        raise ValueError(f"{text!r} is not a comma-separated list of nonnegative integers")
+    return [int(tok) for tok in tokens if tok]
+
+
 @dataclass(frozen=True, order=True)
 class IndexSet:
     """A subset of {1..n} (plus optionally the nuisance index) as a bitmask.

@@ -28,7 +28,7 @@ from .continuous import DiskRotationWorld, RotationCandidate
 from .errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 from .indexset import IndexSet
 from .supervision import SupervisionSpec, sample_features
-from .worlds import CandidateModel, group_ids, mutual_information
+from .worlds import CandidateModel, group_ids, joint_table, mutual_information
 
 GENERATOR_BASED = "generator"
 ENCODER_BASED = "encoder"
@@ -385,18 +385,6 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _gap_scores(joint_fn, n: int, factor_marginals) -> tuple[float, ...]:
-    gaps = []
-    for k in range(n):
-        h = _entropy(factor_marginals(k))
-        if h <= 0.0:
-            raise ZeroEntropyFactor(f"factor {k + 1} has zero entropy")
-        mis = sorted((joint_fn(j, k) for j in range(n)), reverse=True)
-        second = mis[1] if n > 1 else 0.0  # single-latent convention: no runner-up
-        gaps.append((mis[0] - second) / h)
-    return tuple(gaps)
-
-
 def mig(
     target: EvaluationTarget,
     bins: int = 20,
@@ -406,47 +394,38 @@ def mig(
     """Discretized mutual information gap of the latent-to-factor alignment.
 
     Discrete targets use the exact joint of (latent j, measured factor k);
-    continuous targets discretize samples into equal-mass bins first.
+    continuous targets discretize samples into equal-mass bins first, each
+    sample weighing 1/samples.  A factor whose values (or bins) put all
+    mass on one raises ZeroEntropyFactor.
     """
+    n = target.n
     if target.is_discrete:
-        support, probs, mapped, cards = target.exact_view()
-
-        def factor_marginals(k):
-            out = np.zeros(cards[k])
-            np.add.at(out, mapped[:, k], probs)
-            return out
-
-        def joint_fn(j, k):
-            table = np.zeros((cards[j], cards[k]))
-            np.add.at(table, (support[:, j], mapped[:, k]), probs)
-            return _structured_mi(table, _entropy(factor_marginals(k)))
-
-        gaps = _gap_scores(joint_fn, target.n, factor_marginals)
-        return MigReport(gaps, float(np.mean(gaps)), "exact")
-
-    if samples < 1:
-        raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
-    sampler, measure = target.mc_parts()
-    rng = np.random.default_rng(seed)
-    z = sampler.sample_latents(rng, samples)
-    s = measure(z)
-    zb = np.column_stack([_equal_mass_bins(z[:, j], bins) for j in range(target.n)])
-    sb = np.column_stack([_equal_mass_bins(s[:, k], bins) for k in range(target.n)])
-
-    def joint_fn(j, k):
-        table = np.zeros((bins, bins))
-        np.add.at(table, (zb[:, j], sb[:, k]), 1.0 / samples)
-        return mutual_information(table)
-
-    def factor_marginals(k):
-        return np.bincount(sb[:, k], minlength=bins) / samples
-
-    gaps = _gap_scores(joint_fn, target.n, factor_marginals)
-    return MigReport(gaps, float(np.mean(gaps)), "mc", samples)
+        latents, weights, measured, cards = target.exact_view()
+        mode, samples = "exact", 0
+    else:
+        if samples < 1:
+            raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
+        sampler, measure = target.mc_parts()
+        z = sampler.sample_latents(np.random.default_rng(seed), samples)
+        s = measure(z)
+        latents = np.column_stack([_equal_mass_bins(z[:, j], bins) for j in range(n)])
+        measured = np.column_stack([_equal_mass_bins(s[:, k], bins) for k in range(n)])
+        weights, cards, mode = np.full(samples, 1.0 / samples), (bins,) * n, "mc"
+    gaps = []
+    for k in range(n):
+        marginal = joint_table(measured[:, k], 0, weights, cards[k], 1)[:, 0]
+        if np.count_nonzero(marginal) <= 1:
+            raise ZeroEntropyFactor(f"factor {k + 1} has zero entropy")
+        h = _entropy(marginal)
+        joints = (joint_table(latents[:, j], measured[:, k], weights, cards[j], cards[k]) for j in range(n))
+        mis = sorted((_structured_mi(joint, h) for joint in joints), reverse=True)
+        second = mis[1] if n > 1 else 0.0  # single-latent convention: no runner-up
+        gaps.append((mis[0] - second) / h)
+    return MigReport(tuple(gaps), float(np.mean(gaps)), mode, samples)
 
 
 def _structured_mi(joint: np.ndarray, h_col: float) -> float:
-    """Mutual information of an exact joint, with two structurally exact
+    """Mutual information of a joint table, with two structurally exact
     short-circuits: deterministic rows give exactly the column entropy, and
     identical conditional rows give exactly zero.  Avoids log-rounding
     noise where the answer is pinned by the table's shape."""

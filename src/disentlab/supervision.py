@@ -30,7 +30,7 @@ from .errors import (
     SupervisionError,
     UnorderedFactorForRank,
 )
-from .indexset import IndexSet
+from .indexset import IndexSet, parse_ints
 from .worlds import CandidateModel, DiscreteWorld, group_ids
 
 RESTRICTED_LABELING = "restricted-labeling"
@@ -102,7 +102,7 @@ class SupervisionSpec:
     def parse(cls, text: str) -> "SupervisionSpec":
         head, sep, rest = text.strip().partition(":")
         try:
-            indices = tuple(int(tok) for tok in rest.split(",") if tok.strip() != "")
+            indices = parse_ints(rest)
         except ValueError:
             indices = None
         if not sep or head not in _SHORT or indices is None:

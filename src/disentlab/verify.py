@@ -33,12 +33,10 @@ from .supervision import SupervisionSpec
 from .worlds import (
     CandidateModel,
     DiscreteWorld,
-    outside_groups,
     random_world,
     schematic_world,
     uniform_world,
-    zigzag_connected_groups,
-    zigzag_connected_support,
+    zigzag_connectivity,
 )
 
 BRUTE_SUPPORT_CAP = 4096
@@ -149,22 +147,11 @@ def zigzag_guard(support) -> RuleGuard:
     sets (restrictiveness union on those complements, in C-coordinates).
 
     The other rules hold on any support and are never suppressed.
-    Verdicts are memoised by the unordered pair of bitmasks.
+    ``zigzag_connectivity`` memoises the verdicts per unordered pair.
     """
-    support = np.asarray(support)
-    n = support.shape[1]
-    mask = (1 << n) - 1
-    cache: dict[tuple[int, int], bool] = {}
-
-    def guard(rule: str, I: int, J: int) -> bool:
-        if rule != "c_intersect":
-            return True
-        key = (I ^ mask, J ^ mask) if I >= J else (J ^ mask, I ^ mask)
-        if key not in cache:
-            cache[key] = zigzag_connected_support(support, IndexSet(n, key[0]), IndexSet(n, key[1]))
-        return cache[key]
-
-    return guard
+    connected = zigzag_connectivity(support)
+    mask = (1 << np.shape(support)[1]) - 1
+    return lambda rule, I, J: rule != "c_intersect" or connected(I ^ mask, J ^ mask)
 
 
 # -- calculus soundness sweep -----------------------------------------------------------
@@ -384,23 +371,10 @@ def check_assumptions(world: DiscreteWorld) -> AssumptionReport:
     ids = world.gen[tuple(support.T)]
     injective = len(np.unique(ids)) == len(ids)
     encoder_inverts = bool(np.array_equal(world.encode_rows(ids), np.arange(len(support))))
-    sets = []
-    for size in (1, 2):
-        sets.extend(IndexSet.of(s, world.n) for s in _combinations(range(1, world.n + 1), size))
-    groups: dict[int, tuple[np.ndarray, int]] = {}
-
-    def outside(bits: int) -> tuple[np.ndarray, int]:
-        if bits not in groups:
-            groups[bits] = outside_groups(support, world.cards, bits)
-        return groups[bits]
-
-    failures = []
-    for I in sets:
-        for J in sets:
-            if I.members() > J.members() or I.issubset(J) or J.issubset(I):
-                continue
-            if not zigzag_connected_groups(outside(I.bits), outside(J.bits), outside(I.bits | J.bits)):
-                failures.append((I.members(), J.members()))
+    sets = [IndexSet.of(s, world.n) for size in (1, 2) for s in _combinations(range(1, world.n + 1), size)]
+    connected = zigzag_connectivity(support)
+    failures = [(I.members(), J.members()) for I in sets for J in sets
+                if I.members() < J.members() and not connected(I.bits, J.bits)]
     return AssumptionReport(injective, encoder_inverts, failures)
 
 

@@ -156,9 +156,7 @@ class DiscreteWorld:
 
     def factor_marginal(self, i: int) -> np.ndarray:
         """Marginal distribution of factor i (1-based)."""
-        out = np.zeros(self.cards[i - 1])
-        np.add.at(out, self.support[:, i - 1], self.support_probs)
-        return out
+        return joint_table(self.support[:, i - 1], 0, self.support_probs, self.cards[i - 1], 1)[:, 0]
 
     def pairwise_mi(self) -> np.ndarray:
         """Matrix of mutual informations (nats) between factor pairs."""
@@ -167,8 +165,8 @@ class DiscreteWorld:
             for b in range(self.n):
                 if a == b:
                     continue
-                joint = np.zeros((self.cards[a], self.cards[b]))
-                np.add.at(joint, (self.support[:, a], self.support[:, b]), self.support_probs)
+                joint = joint_table(self.support[:, a], self.support[:, b], self.support_probs,
+                                    self.cards[a], self.cards[b])
                 out[a, b] = mutual_information(joint)
         return out
 
@@ -400,55 +398,61 @@ def group_ids(rows: np.ndarray, cols, cards) -> tuple[np.ndarray, int]:
 # -- zig-zag connectedness -----------------------------------------------------
 
 
-def zigzag_connected_support(support: np.ndarray, I: IndexSet, J: IndexSet) -> bool:
-    """Whether every support pair differing only inside I u J is joined by a
-    path whose steps each change only I-coordinates or only J-coordinates.
+def zigzag_connectivity(support) -> Callable[[int, int], bool]:
+    """``connected(I bits, J bits)``: whether every pair of support rows
+    differing only inside I u J is joined by a path whose steps each change
+    only I-coordinates or only J-coordinates.
 
     When one set holds the other, every step inside the smaller set is a
     step inside the larger one, which is I u J, so any such pair is one
-    step apart.  Otherwise the support is grouped by its projections onto
-    the complements of I, J and I u J (see ``zigzag_connected_groups``).
+    step apart.  Otherwise steps between rows sharing all coordinates
+    outside I (or outside J) are single moves, so reachability is the
+    transitive closure of "same projection onto the complement of I" and
+    "same onto the complement of J".  Each row carries a component label,
+    the least row index it is known to reach.  The labels are lowered to the
+    group minimum through the I- and J-groupings in turn, then to their own
+    row's label, until they stop changing.  The support is connected when
+    rows sharing their projection onto the complement of I u J share one
+    label.  Groupings are memoised per set and verdicts per unordered pair.
     """
-    if I.issubset(J) or J.issubset(I):
-        return True
     support = np.asarray(support)
+    m, n = support.shape
     radix = support.max(axis=0) + 1
-    return zigzag_connected_groups(*(outside_groups(support, radix, s.bits) for s in (I, J, I | J)))
+    groups: dict[int, tuple[np.ndarray, int]] = {}
+    verdicts: dict[tuple[int, int], bool] = {}
+
+    def group_min(bits: int, label: np.ndarray) -> np.ndarray:
+        """Each row's least label among the rows sharing its values outside ``bits``."""
+        if bits not in groups:
+            groups[bits] = group_ids(support, [c for c in range(n) if not bits >> c & 1], radix)
+        ids, count = groups[bits]
+        low = np.full(count, m)
+        np.minimum.at(low, ids, label)
+        return low[ids]
+
+    def connected(i_bits: int, j_bits: int) -> bool:
+        if i_bits & j_bits in (i_bits, j_bits):
+            return True
+        key = (i_bits, j_bits) if i_bits >= j_bits else (j_bits, i_bits)
+        if key not in verdicts:
+            label = np.arange(m)
+            while True:
+                before = label
+                label = group_min(j_bits, group_min(i_bits, label))
+                label = label[label]  # pointer jumping: shortens long chains of steps
+                if np.array_equal(label, before):
+                    break
+            verdicts[key] = bool(np.array_equal(group_min(i_bits | j_bits, label), label))
+        return verdicts[key]
+
+    return connected
 
 
-def outside_groups(support: np.ndarray, radix, bits: int) -> tuple[np.ndarray, int]:
-    """``group_ids`` of the support rows by the 0-based columns outside ``bits``."""
-    return group_ids(support, [c for c in range(support.shape[1]) if not bits >> c & 1], radix)
-
-
-def zigzag_connected_groups(i_groups, j_groups, union_groups) -> bool:
-    """Zig-zag connectivity from the rows' groupings by the complements of
-    I, J and I u J, each an ``(ids, count)`` pair from ``group_ids``.
-
-    Steps between support tuples sharing all coordinates outside I (or
-    outside J) are single moves, so reachability is the transitive closure
-    of "same projection onto the complement of I" and "same onto the
-    complement of J".  Each row carries a component label, the least row
-    index it is known to reach.  The labels are lowered to the group minimum
-    through the I- and J-groupings in turn, then to their own row's label,
-    until they stop changing.  The support is connected when rows sharing
-    their projection onto the complement of I u J share one label.
-    """
-    m = len(i_groups[0])
-    label = np.arange(m)
-    while True:
-        before = label
-        for ids, count in (i_groups, j_groups):
-            low = np.full(count, m)
-            np.minimum.at(low, ids, label)
-            label = low[ids]
-        label = label[label]  # pointer jumping: shortens long chains of steps
-        if np.array_equal(label, before):
-            break
-    ids, count = union_groups
-    low = np.full(count, m)
-    np.minimum.at(low, ids, label)
-    return bool(np.array_equal(low[ids], label))
+def zigzag_connected_support(support: np.ndarray, I: IndexSet, J: IndexSet) -> bool:
+    """Zig-zag connectivity of the support for one pair of index sets (see
+    ``zigzag_connectivity``); ArityMismatch for sets of different universes."""
+    I._check_same_universe(J)
+    return zigzag_connectivity(support)(I.bits, J.bits)
 
 
 # -- schematic constructions ---------------------------------------------------
@@ -519,6 +523,12 @@ def _resample_table(rng, world: DiscreteWorld, probs, latents, resample_cols) ->
         idx, members = rows[rows < m], rows[rows >= m] - m
         out[members] = support[idx[_draw_rows(rng, probs[idx] / probs[idx].sum(), len(members))]]
     return out
+
+
+def joint_table(a, b, weights, ka: int, kb: int) -> np.ndarray:
+    """(ka, kb) table of the summed ``weights`` of the value pairs
+    (a[r], b[r]), with 0 <= a < ka and 0 <= b < kb."""
+    return np.bincount(a * kb + b, weights=weights, minlength=ka * kb).reshape(ka, kb)
 
 
 def mutual_information(joint: np.ndarray) -> float:

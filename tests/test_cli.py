@@ -225,6 +225,12 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "validate", "{tmp}/gen-huge.json"],
         ["world", "validate", "{tmp}/ordered-number.json"],
         ["world", "validate", "{tmp}/ordered-string.json"],
+        ["world", "gen", "--out", "{tmp}"],
+        ["world", "gen", "--out", "{tmp}/missing/w.json"],
+        ["score", *CNR, "--set", "\u0662"],
+        ["score", *CNR, "--bijection", "\u0660,\u0661,\u0662,\u0663"],
+        ["world", "gen", "--cards", "\u0662,\u0663"],
+        ["dataset", *CNR, "--spec", "share:\u0662", "--out", "{tmp}/d.jsonl"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "tol-negative", "tol-nan",
@@ -232,7 +238,9 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
          "eta-query-range", "superscript-digit", "arabic-indic-digit", "score-superscript-digit",
          "verify-samples-zero", "support-max-zero", "support-max-three",
          "support-max-nine", "world-n-huge", "world-cards-huge", "world-prior-huge",
-         "world-gen-huge", "world-ordered-number", "world-ordered-string"],
+         "world-gen-huge", "world-ordered-number", "world-ordered-string", "gen-out-directory",
+         "gen-out-missing-dir", "set-arabic-indic-digit", "bijection-arabic-indic-digit",
+         "cards-arabic-indic-digit", "spec-arabic-indic-digit"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     for name, text in BAD_WORLDS.items():
@@ -308,6 +316,14 @@ OPTIONS = {
         "--n": st.sampled_from(["-1", "0", "1", "30", "x"]),
         "--out": st.sampled_from(["out", "dir"]),
     },
+    "world gen": {
+        "--n": st.sampled_from(["-1", "0", "1", "2", "3", "x"]),
+        "--cards": st.one_of(st.sampled_from(["2,2", "3,2,2", "2", "1,2", "", "2,x", "99999,99999"]), TOKEN),
+        "--corr": st.sampled_from(["0", "0.5", "1", "-0.1", "2", "nan", "x"]),
+        "--schematic": st.one_of(st.sampled_from(["zigzag-violation", "consistent-not-restrictive"]), TOKEN),
+        "--seed": TOKEN,
+        "--out": st.sampled_from(["out", "dir"]),
+    },
     "verify": {
         "--sweep": st.just(None),
         "--counterexamples": st.just(None),
@@ -319,7 +335,8 @@ OPTIONS = {
         "--format": st.sampled_from(["text", "json", "csv"]),
     },
 }
-REQUIRED = {"score": ["--world"], "calc": ["--n"], "dataset": ["--world", "--spec", "--out"], "verify": []}
+REQUIRED = {"score": ["--world"], "calc": ["--n"], "dataset": ["--world", "--spec", "--out"],
+            "world gen": [], "verify": []}
 # given first, so the suites never run at their default sizes; a drawn value overrides
 BOUNDED = {"verify": ["--trials", "1", "--samples", "50", "--support-max", "4"]}
 EXITS = {"verify": (0, 1, 2)}  # 1: a check failed, e.g. with too few samples
@@ -337,7 +354,7 @@ def command_lines(draw, command):
     options = OPTIONS[command]
     names = [name for name in REQUIRED[command] if draw(st.integers(0, 7))]
     names += draw(st.lists(st.sampled_from(sorted(options)), max_size=5))
-    args = [command, *BOUNDED.get(command, [])]
+    args = [*command.split(), *BOUNDED.get(command, [])]
     for name in names:
         args.append(name)
         value = draw(options[name])

@@ -8,6 +8,7 @@ import pytest
 
 from disentlab import (
     CandidateModel,
+    DiscreteWorld,
     EvaluationTarget,
     Fact,
     IndexSet,
@@ -25,11 +26,13 @@ from disentlab import (
     uniform_world,
 )
 from disentlab import metrics
+from disentlab.metrics import ENCODER_BASED, GENERATOR_BASED
 from disentlab.learner import matched_perms, matched_report
 from disentlab.verify import battery_specs, check_fact_brute, theorem_battery
 from disentlab.errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 from disentlab.supervision import sample_features
 from reference_match import permutation_null
+from reference_mig import exact_rows, mc_rows, reference_gaps
 
 
 def gen_target(model):
@@ -477,16 +480,48 @@ def test_mig_single_factor_convention():
     assert report.per_factor == (1.0,)
 
 
-def test_mig_zero_entropy_factor():
-    w = DiscreteWorld_card1()
-    with pytest.raises(ZeroEntropyFactor):
+@pytest.mark.parametrize("m", [2, 3, 7, 10])
+def test_mig_zero_entropy_factor(m):
+    """Factor 2 takes one value.  At m = 7 and 10 its marginal sums to
+    0.9999999999999998 and 0.9999999999999999, whose float entropies are
+    positive, so only the count of values with mass shows it."""
+    w = DiscreteWorld((m, 1), [1 / m] * m, [[i] for i in range(m)])
+    with pytest.raises(ZeroEntropyFactor, match="factor 2"):
         mig(gen_target(CandidateModel.identity(w)))
 
 
-def DiscreteWorld_card1():
-    from disentlab import DiscreteWorld
+def test_mig_mc_zero_entropy_factor():
+    """A measured factor whose samples all fall in one bin."""
+    _, cand = rotation_world()
+    with pytest.raises(ZeroEntropyFactor):
+        mig(gen_target(cand), bins=1, samples=50)
 
-    return DiscreteWorld((2, 1), [0.5, 0.5], [[0], [1]])
+
+def test_mig_exact_equals_reference_on_share_matched_models():
+    """Every matched model of every share-pairing spec of the battery, in
+    both directions, gives the reference's gaps to the last bit."""
+    cases = 0
+    for world in theorem_battery(6):
+        for spec in battery_specs(world):
+            if spec.kind != "share-pairing":
+                continue
+            for perm in matched_perms(world, [spec]):
+                model = CandidateModel(world, perm)
+                for direction in (GENERATOR_BASED, ENCODER_BASED):
+                    expected = reference_gaps(exact_rows(model, direction), world.cards, world.cards)
+                    assert mig(EvaluationTarget(direction, model)).per_factor == expected, (model, direction)
+                    cases += 1
+    assert cases > 1000
+
+
+@pytest.mark.parametrize("direction", [GENERATOR_BASED, ENCODER_BASED])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mig_mc_equals_reference_on_rotation(direction, seed):
+    _, cand = rotation_world()
+    report = mig(EvaluationTarget(direction, cand), bins=20, samples=3000, seed=seed)
+    expected = reference_gaps(mc_rows(cand, direction, 20, 3000, seed), (20,) * 3, (20,) * 3)
+    assert report.mode == "mc" and report.samples == 3000
+    assert np.allclose(report.per_factor, expected, rtol=0.0, atol=1e-12), (report.per_factor, expected)
 
 
 def test_mig_mc_binned_on_rotation():

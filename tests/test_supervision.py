@@ -65,8 +65,9 @@ def test_indices_validated_against_arity(world22):
 def test_spec_string_round_trip():
     for s in ("label:1,2", "share:1", "change:2", "match:1,3", "rank:1"):
         assert SupervisionSpec.parse(s).to_string() == s
-    with pytest.raises(SupervisionError):
-        SupervisionSpec.parse("bogus:1")
+    for bad in ("bogus:1", "share:\u0662", "label:1,\u0663", "share:-1"):
+        with pytest.raises(SupervisionError):
+            SupervisionSpec.parse(bad)
 
 
 # -- exact tables ----------------------------------------------------------------------

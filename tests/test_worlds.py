@@ -21,12 +21,12 @@ from disentlab.errors import (
     WorldError,
     ZeroMassConditioning,
 )
+from disentlab.verify import check_assumptions
 from disentlab.worlds import (
     load_world,
     mutual_information,
-    outside_groups,
     save_world,
-    zigzag_connected_groups,
+    zigzag_connectivity,
 )
 
 
@@ -234,21 +234,43 @@ def test_zigzag_equals_reference_on_every_pair(shape):
 
 @pytest.mark.parametrize("shape", ["independent", "random", "diagonal", "subset"])
 def test_zigzag_nested_shortcut_equals_label_spreading(shape):
-    """When I holds J or J holds I, the shortcut's True is what the full
-    label spreading over the three groupings computes."""
+    """When I holds J or J holds I, the shortcut's True is what the
+    union-find reference computes over every pair of rows."""
     rng = np.random.default_rng(11)
     for trial in range(40):
         n = int(rng.integers(1, 5))
         cards = [int(k) for k in rng.integers(2, 4, n)]
         w = _random_support_world(rng, n, cards, shape)
-        radix = w.support.max(axis=0) + 1
+        connected = zigzag_connectivity(w.support)
         for i_bits in range(1 << n):
             for j_bits in range(1 << n):
                 if i_bits & j_bits not in (i_bits, j_bits):
                     continue
-                groups = [outside_groups(w.support, radix, b) for b in (i_bits, j_bits, i_bits | j_bits)]
                 I, J = IndexSet(n, i_bits), IndexSet(n, j_bits)
-                assert zigzag_connected_groups(*groups) == zigzag_connected_support(w.support, I, J) is True
+                assert reference_zigzag(w.support, I, J) is connected(i_bits, j_bits) is True
+
+
+@pytest.mark.parametrize("shape", ["independent", "random", "diagonal", "subset"])
+def test_assumption_report_zigzag_failures_equal_reference(shape):
+    """The report's failures are the reference's disconnected pairs among
+    the sets of one or two factors, each pair listed once, smaller first."""
+    rng = np.random.default_rng(13)
+    disconnected = 0
+    for trial in range(30):
+        n = int(rng.integers(2, 5))
+        cards = [int(k) for k in rng.integers(2, 4, n)]
+        w = _random_support_world(rng, n, cards, shape)
+        sets = [IndexSet(n, b) for b in range(1 << n) if 1 <= bin(b).count("1") <= 2]
+        expected = sorted(
+            (I.members(), J.members())
+            for I in sets
+            for J in sets
+            if I.members() < J.members() and not reference_zigzag(w.support, I, J)
+        )
+        failures = check_assumptions(w).zigzag_failures
+        assert sorted(failures) == expected and len(set(failures)) == len(failures), w.support
+        disconnected += len(expected)
+    assert (disconnected > 0) == (shape in ("diagonal", "subset"))
 
 
 @pytest.mark.parametrize("cut", [None, 1000], ids=["chain", "broken"])
