@@ -71,6 +71,8 @@ def _read_model_perm(path: str) -> list:
     """The 'perm' array of a model file; a malformed file is a usage error."""
     try:
         doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise click.UsageError(f"cannot read model file {path!r}: {exc.strerror}")
     except ValueError as exc:
         raise click.UsageError(f"model file {path!r} is not valid JSON: {exc}")
     perm = doc.get("perm") if isinstance(doc, dict) else None
@@ -103,7 +105,8 @@ class _OneLineErrors(click.Group):
     (exit code 2).  ``UsageError.show`` prints the usage and a help hint
     above the message when the error has a context, so that context is
     dropped; errors that show themselves otherwise, such as the help page of
-    a bare group, keep it.  Subcommand errors pass through ``invoke``."""
+    a bare group, keep it.  Subcommand errors pass through ``invoke``,
+    which also makes every library error a usage error."""
 
     @staticmethod
     def _drop_context(exc: click.UsageError):
@@ -123,6 +126,8 @@ class _OneLineErrors(click.Group):
         except click.UsageError as exc:
             self._drop_context(exc)
             raise
+        except DisentlabError as exc:
+            raise click.UsageError(str(exc))
 
 
 @click.group(cls=_OneLineErrors)
@@ -153,7 +158,7 @@ def world_gen(seed, n_factors, cards, corr, schematic, out):
             w, _ = schematic_world(schematic)
         else:
             w = random_world(seed, n_factors, parse_ints(cards), corr)
-    except (DisentlabError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if out:
         try:
@@ -208,11 +213,9 @@ def world_inspect(path):
 def dataset(world_arg, spec_str, seed, count, out):
     """Sample an augmented-distribution dataset to a file."""
     w, _ = _load_world_arg(world_arg)
+    spec = SupervisionSpec.parse(spec_str)
     try:
-        spec = SupervisionSpec.parse(spec_str)
         write_dataset(out, w, spec, seed, count)
-    except DisentlabError as exc:
-        raise click.UsageError(str(exc))
     except OSError as exc:
         raise click.UsageError(f"cannot write {out!r}: {exc.strerror}")
     click.echo(f"wrote {count} records to {out}")
@@ -258,7 +261,7 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
                 raise click.UsageError(f"--bijection {bijection!r} is not a comma-separated list of integers")
         try:
             model = CandidateModel(w, perm)
-        except (DisentlabError, OverflowError) as exc:
+        except OverflowError as exc:
             raise click.UsageError(str(exc))
     elif paired is not None:
         model = paired
@@ -280,35 +283,29 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
     directions = {"gen": ["generator"], "enc": ["encoder"], "both": ["generator", "encoder"]}[direction]
     kinds = {"c": ["consistency"], "r": ["restrictiveness"], "both": ["consistency", "restrictiveness"]}[kind]
 
-    try:
-        fact_list = parse_facts(facts, n) if facts else []
-    except DisentlabError as exc:
-        raise click.UsageError(str(exc))
+    fact_list = parse_facts(facts, n) if facts else []
 
     records = []
     degenerate = 0
-    try:
-        for d in directions:
-            target = EvaluationTarget(d, model)
-            for I in index_sets:
-                for k in kinds:
-                    fn = normalized_consistency if k == "consistency" else normalized_restrictiveness
-                    try:
-                        records.append(fn(target, I, mode=mode, samples=samples, seed=seed).to_dict())
-                    except DegenerateDenominator:
-                        degenerate += 1
-                        records.append(
-                            {"direction": d, "kind": k, "index_set": list(I.members()), "score": None,
-                             "degenerate": True}
-                        )
-            for f in fact_list:
-                verdict = holds(target, f, tol=tol, mode=mode, samples=samples, seed=seed)
-                records.append({"direction": d, "fact": str(f), "holds": verdict, "tol": tol})
-            if with_mig:
-                rep = mig(target, samples=samples, seed=seed)
-                records.append({"direction": d, "kind": "mig", **rep.to_dict()})
-    except DisentlabError as exc:  # e.g. exact mode on a continuous world
-        raise click.UsageError(str(exc))
+    for d in directions:
+        target = EvaluationTarget(d, model)
+        for I in index_sets:
+            for k in kinds:
+                fn = normalized_consistency if k == "consistency" else normalized_restrictiveness
+                try:
+                    records.append(fn(target, I, mode=mode, samples=samples, seed=seed).to_dict())
+                except DegenerateDenominator:
+                    degenerate += 1
+                    records.append(
+                        {"direction": d, "kind": k, "index_set": list(I.members()), "score": None,
+                         "degenerate": True}
+                    )
+        for f in fact_list:
+            verdict = holds(target, f, tol=tol, mode=mode, samples=samples, seed=seed)
+            records.append({"direction": d, "fact": str(f), "holds": verdict, "tol": tol})
+        if with_mig:
+            rep = mig(target, samples=samples, seed=seed)
+            records.append({"direction": d, "kind": "mig", **rep.to_dict()})
     _emit_records(records, fmt)
     if degenerate:
         click.echo(f"note: {degenerate} degenerate denominator(s)", err=True)
@@ -326,15 +323,12 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
               show_default=True)
 def calc(n_factors, axioms, query, nuisance, fmt):
     """Entailment queries over C/R/D facts; without --query, list the closure."""
-    try:
-        axiom_facts = parse_facts(axioms, n_factors, nuisance)
-        if query is None:
-            fs = closure(axiom_facts, n_factors, nuisance=nuisance)
-        else:
-            queries = parse_facts(query, n_factors, nuisance)
-            fs = derive(axiom_facts, queries, n_factors, nuisance)
-    except DisentlabError as exc:
-        raise click.UsageError(str(exc))
+    axiom_facts = parse_facts(axioms, n_factors, nuisance)
+    if query is None:
+        fs = closure(axiom_facts, n_factors, nuisance=nuisance)
+    else:
+        queries = parse_facts(query, n_factors, nuisance)
+        fs = derive(axiom_facts, queries, n_factors, nuisance)
 
     if query is not None:
         ok = all(fs.contains(q) for q in queries)

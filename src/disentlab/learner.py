@@ -171,15 +171,6 @@ class GuaranteeReport:
     def ok(self) -> bool:
         return self.matched_count > 0 and not self.violating_perms
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_string(),
-            "guaranteed": str(self.guaranteed),
-            "matched": self.matched_count,
-            "violations": [list(p) for p in self.violating_perms],
-            "ok": self.ok,
-        }
-
 
 def verify_guarantee(world: DiscreteWorld, spec: SupervisionSpec) -> GuaranteeReport:
     """Check that every matched candidate is consistent on the canonical

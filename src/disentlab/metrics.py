@@ -19,7 +19,7 @@ verdict reads I for C(I), ~I for R(I) and both for D(I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -38,6 +38,23 @@ EXACT_TOL = 1e-12
 MC_CHUNK = 8192
 
 
+def report_doc(report) -> dict:
+    """A report dataclass's fields in declaration order, as JSON values:
+    index sets become their members, tuples lists, nested reports dicts
+    and non-finite floats None."""
+    return {f.name: _doc_value(getattr(report, f.name)) for f in fields(report)}
+
+
+def _doc_value(v):
+    if isinstance(v, IndexSet):
+        return list(v.members())
+    if is_dataclass(v):
+        return report_doc(v)
+    if isinstance(v, (list, tuple)):
+        return [_doc_value(x) for x in v]
+    return None if isinstance(v, float) and not np.isfinite(v) else v
+
+
 @dataclass(frozen=True)
 class ScoreReport:
     """One normalized score with its ingredients and uncertainty."""
@@ -45,27 +62,15 @@ class ScoreReport:
     direction: str
     kind: str  # "consistency" | "restrictiveness"
     index_set: IndexSet
+    score: float
     numerator: float
     denominator: float
-    score: float
     mode: str  # "exact" | "mc"
     samples: int = 0
     std_error: float = 0.0
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "kind": self.kind,
-            "index_set": list(self.index_set.members()),
-            "score": self.score,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "mode": self.mode,
-            "samples": self.samples,
-            "std_error": self.std_error,
-            "seed": self.seed,
-        }
+    to_dict = report_doc
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,8 @@ def _fact_verdicts(raw, facts, tol: float) -> np.ndarray:
     (..., F) from one call ``raw(sets)``, the raw consistency (..., S) of a
     list of distinct index sets: C(I) reads I, R(I) reads ~I, and D(I)
     reads both."""
-    if not tol >= 0:  # NaN fails too
-        raise MetricError(f"tol must be a nonnegative number, got {tol!r}")
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise MetricError(f"tol must be a nonnegative number below infinity, got {tol!r}")
     single = isinstance(facts, Fact)
     slots, reads, starts = {}, [], []  # each fact's reads in a row: C and R one, D two
     for f in [facts] if single else facts:
@@ -297,7 +302,7 @@ def _normalized(target, I, kind, report_set, mode, samples, seed):
             raise DegenerateDenominator(
                 f"{kind} denominator {den!r} for I={report_set} is uninformative"
             )
-        return ScoreReport(target.direction, kind, report_set, num, den, gap / den, "exact")
+        return ScoreReport(target.direction, kind, report_set, gap / den, num, den, "exact")
     if mode != "mc":
         raise MetricError(f"unknown mode {mode!r}; expected 'exact' or 'mc'")
     num_devs, den_devs = _mc_deviations(target, I, samples, seed)
@@ -307,7 +312,7 @@ def _normalized(target, I, kind, report_set, mode, samples, seed):
             f"{kind} denominator {den!r} for I={report_set} is uninformative"
         )
     return ScoreReport(
-        target.direction, kind, report_set, num, den, 1.0 - num / den, "mc", samples,
+        target.direction, kind, report_set, 1.0 - num / den, num, den, "mc", samples,
         _ratio_std_error(num_devs, den_devs), seed,
     )
 
@@ -371,13 +376,7 @@ class MigReport:
     mode: str
     samples: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "per_factor": list(self.per_factor),
-            "mean": self.mean,
-            "mode": self.mode,
-            "samples": self.samples,
-        }
+    to_dict = report_doc
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -455,15 +454,7 @@ class MatchCheckResult:
     samples: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "p_value": self.p_value,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+    to_dict = report_doc
 
 
 def mc_match_check(

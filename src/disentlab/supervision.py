@@ -310,10 +310,13 @@ def _record_doc(kind: str, I: IndexSet, rec: tuple) -> dict:
 
 
 def read_dataset(path) -> tuple[dict, list[dict]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    try:
+        docs = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    except ValueError as exc:  # bytes that are not UTF-8, or a line that is not JSON
+        raise SupervisionError(f"dataset file {path} is not JSON lines: {exc}") from exc
+    if not docs:
         raise SupervisionError(f"dataset file {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("format") != DATASET_FORMAT:
+    header, *records = docs
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise SupervisionError(f"{path} is not a dataset file")
-    return header, [json.loads(line) for line in lines[1:]]
+    return header, records

@@ -28,6 +28,7 @@ from .metrics import (
     mig,
     normalized_consistency,
     normalized_restrictiveness,
+    report_doc,
 )
 from .supervision import SupervisionSpec
 from .worlds import (
@@ -99,14 +100,7 @@ class VerifyCheck:
     detail: str = ""
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "statistic": self.statistic,
-            "detail": self.detail,
-            "seed": self.seed,
-        }
+    to_dict = report_doc
 
 
 @dataclass
@@ -126,7 +120,7 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, **report_doc(self)}
 
     def to_text(self) -> str:
         lines = []
@@ -169,13 +163,7 @@ class SweepReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "facts_checked": self.facts_checked,
-            "violations": self.violations,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return {**report_doc(self), "passed": self.passed}
 
 
 def _true_atoms(world: DiscreteWorld, perms) -> list[set[tuple[str, int]]]:
@@ -348,16 +336,6 @@ class AssumptionReport:
     @property
     def ok(self) -> bool:
         return self.injective and self.encoder_inverts and not self.zigzag_failures
-
-    def to_dict(self) -> dict:
-        return {
-            "injective": self.injective,
-            "encoder_inverts": self.encoder_inverts,
-            "zigzag_failures": [
-                {"I": list(i), "J": list(j)} for i, j in self.zigzag_failures
-            ],
-            "ok": self.ok,
-        }
 
 
 def check_assumptions(world: DiscreteWorld) -> AssumptionReport:

@@ -213,16 +213,16 @@ class DiscreteWorld:
 def world_from_doc(doc: dict) -> DiscreteWorld:
     """Build and validate a world from its structured-text document."""
     try:
-        version = doc["version"]
-        n = int(doc["n"])
-        cards = [int(k) for k in doc["cards"]]
+        version, n, cards = doc["version"], doc["n"], doc["cards"]
         prior = doc["prior"]
         gen = doc["gen"]
         ordered = doc.get("ordered")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise WorldError(f"malformed world document: {exc}") from exc
-    if version != WORLD_DOC_VERSION:
+    if type(version) is not int or version != WORLD_DOC_VERSION:
         raise WorldError(f"unsupported world document version {version!r}")
+    if type(n) is not int or not isinstance(cards, list) or not all(type(k) is int for k in cards):
+        raise WorldError("n must be an integer and cards an array of integers")
     if not isinstance(prior, list) or not all(type(v) in (int, float) for v in prior):
         raise WorldError("prior must be an array of numbers")
     if not isinstance(gen, list) or not all(type(v) is int for v in gen):

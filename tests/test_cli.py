@@ -192,6 +192,10 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
     "gen-huge": '{%s, "gen": [0, 9223372036854775808]}' % HALF,
     "ordered-number": '{%s, "gen": [0, 1], "ordered": 5}' % HALF,
     "ordered-string": '{"version": 1, "n": 2, "cards": [2, 1], "prior": [0.5, 0.5], "gen": [0, 1], "ordered": "ab"}',
+    "n-string": '{"version": 1, "n": "1", "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}',
+    "cards-float": '{"version": 1, "n": 2, "cards": [2.9, "1"], "prior": [0.5, 0.5], "gen": [0, 1]}',
+    "cards-bool": '{"version": 1, "n": 2, "cards": [true, 2], "prior": [0.5, 0.5], "gen": [0, 1]}',
+    "version-bool": '{"version": true, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}',
 }
 
 
@@ -206,6 +210,8 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["score", *CNR, "--seed", "-1"],
         ["score", *CNR, "--facts", "C{1}", "--tol", "-1"],
         ["score", *CNR, "--facts", "C{1}", "--tol", "nan"],
+        ["score", *CNR, "--facts", "C{1}", "--tol", "inf"],
+        ["score", *CNR, "--model-file", "{tmp}"],
         ["score", "--world", "rotation", "--mode", "exact"],
         ["score", "--world", "{tmp}/arity.json"],
         ["score", "--world", "{tmp}"],
@@ -225,6 +231,10 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "validate", "{tmp}/gen-huge.json"],
         ["world", "validate", "{tmp}/ordered-number.json"],
         ["world", "validate", "{tmp}/ordered-string.json"],
+        ["world", "inspect", "{tmp}/n-string.json"],
+        ["world", "inspect", "{tmp}/cards-float.json"],
+        ["world", "inspect", "{tmp}/cards-bool.json"],
+        ["world", "inspect", "{tmp}/version-bool.json"],
         ["world", "gen", "--out", "{tmp}"],
         ["world", "gen", "--out", "{tmp}/missing/w.json"],
         ["score", *CNR, "--set", "\u0662"],
@@ -233,12 +243,13 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["dataset", *CNR, "--spec", "share:\u0662", "--out", "{tmp}/d.jsonl"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
-         "tol-negative", "tol-nan",
+         "tol-negative", "tol-nan", "tol-inf", "model-file-directory",
          "exact-on-continuous", "world-arity", "world-directory", "spec-token", "out-directory",
          "eta-query-range", "superscript-digit", "arabic-indic-digit", "score-superscript-digit",
          "verify-samples-zero", "support-max-zero", "support-max-three",
          "support-max-nine", "world-n-huge", "world-cards-huge", "world-prior-huge",
-         "world-gen-huge", "world-ordered-number", "world-ordered-string", "gen-out-directory",
+         "world-gen-huge", "world-ordered-number", "world-ordered-string", "world-n-string",
+         "world-cards-float", "world-cards-bool", "world-version-bool", "gen-out-directory",
          "gen-out-missing-dir", "set-arabic-indic-digit", "bijection-arabic-indic-digit",
          "cards-arabic-indic-digit", "spec-arabic-indic-digit"],
 )
@@ -268,6 +279,28 @@ def test_score_world_with_non_integer_gen_exits_two(runner, tmp_path):
     assert "invalid world file" in res.output and "Traceback" not in res.output
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, as RFC 8259 does."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["score", "--world", "rotation", "--samples", "1", "--format", "json", "--set", "1"],
+     ["verify", "--counterexamples", "--samples", "1", "--format", "json"]],
+    ids=["score", "verify"],
+)
+def test_json_output_is_strict_json(runner, args):
+    """One sample makes the MC error NaN; JSON output writes it as null."""
+    res = runner.invoke(main, args)
+    assert res.exit_code in (0, 1), res.output
+    docs = [strict_json(line) for line in res.stdout.splitlines()]
+    if args[0] == "score":
+        assert [doc["std_error"] for doc in docs] == [None, None]
+
+
 def _fuzz_files(root: Path) -> dict:
     """Paths the fuzzed argument lists refer to by name."""
     good = root / "good.json"
@@ -290,7 +323,7 @@ OPTIONS = {
     "score": {
         "--world": WORLDS,
         "--bijection": st.one_of(st.sampled_from(["0,1,2,3", "3,2,1,0", "0,0", "a,b"]), TOKEN),
-        "--model-file": st.sampled_from(["model", "bad"]),
+        "--model-file": st.sampled_from(["model", "bad", "dir"]),
         "--set": st.one_of(st.sampled_from(["1", "1,2", "", "3", "2,x"]), TOKEN),
         "--facts": FACTS,
         "--kind": st.sampled_from(["c", "r", "both", "q"]),
@@ -298,7 +331,7 @@ OPTIONS = {
         "--mode": st.sampled_from(["exact", "mc", "fast"]),
         "--samples": st.sampled_from(["-1", "0", "1", "2", "40", "x"]),
         "--seed": TOKEN,
-        "--tol": st.sampled_from(["0", "1e-3", "-1", "nan", "x"]),
+        "--tol": st.sampled_from(["0", "1e-3", "-1", "nan", "inf", "x"]),
         "--with-mig": st.just(None),
         "--format": st.sampled_from(["text", "json", "csv", "xml"]),
     },
@@ -388,7 +421,8 @@ def world_lines(draw):
 def test_cli_fuzz_never_crashes(command):
     """Random argument lists exit 0 or 2 with no uncaught exception; of
     these commands only ``verify`` runs a verification, so exit 1 from any
-    other would mean a crash."""
+    other would mean a crash.  Every line of ``--format json`` output is
+    strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         files = _fuzz_files(Path(tmp))
         runner = CliRunner()
@@ -403,6 +437,10 @@ def test_cli_fuzz_never_crashes(command):
             res = runner.invoke(main, args)
             assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.output)
             assert res.exit_code in EXITS.get(command, (0, 2)), (args, res.output)
+            formats = [value for name, value in zip(args, args[1:]) if name == "--format"]
+            if res.exit_code != 2 and formats[-1:] == ["json"]:
+                for line in res.stdout.splitlines():
+                    strict_json(line)
 
         run()
 

@@ -620,3 +620,9 @@ def test_score_report_serializes(world22, xor_model):
     rep = normalized_consistency(gen_target(xor_model), IndexSet.of([1], 2))
     doc = rep.to_dict()
     assert doc["score"] == 1.0 and doc["index_set"] == [1] and doc["mode"] == "exact"
+    assert list(doc) == ["direction", "kind", "index_set", "score", "numerator", "denominator", "mode",
+                         "samples", "std_error", "seed"]
+    one = metrics.ScoreReport("generator", "consistency", IndexSet.of([1], 2), 1.0, 0.0, 0.5, "mc", 1,
+                              float("nan"), 0)
+    assert one.to_dict() == {**doc, "numerator": 0.0, "denominator": 0.5, "mode": "mc", "samples": 1,
+                             "std_error": None, "seed": 0}

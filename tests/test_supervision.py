@@ -269,3 +269,14 @@ def test_dataset_rejects_foreign_file(tmp_path):
     path.write_text('{"something": "else"}\n')
     with pytest.raises(SupervisionError):
         read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "data", [b"[1, 2]\n", b"not json\n", b'{"format": "disentlab-dataset"}\n{"x": 1\n', b"\xff\xfe\n"],
+    ids=["header-array", "header-not-json", "record-not-json", "not-utf8"],
+)
+def test_dataset_rejects_malformed_lines(tmp_path, data):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(SupervisionError, match="bad.jsonl"):
+        read_dataset(path)

@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import permutations
 
@@ -26,7 +27,7 @@ from disentlab import (
 )
 from disentlab import verify
 from disentlab.errors import MetricError, SupportTooLarge
-from disentlab.metrics import EXACT_TOL
+from disentlab.metrics import EXACT_TOL, MatchCheckResult, MigReport
 from disentlab.worlds import DEFAULT_SUPPORT_CAP
 from reference_calculus import reference_closure, reference_zigzag_guard
 
@@ -195,6 +196,37 @@ def test_report_serialization():
     assert doc["passed"] is True and len(doc["checks"]) == 5
     text = report.to_text()
     assert "overall: PASS" in text
+
+
+def test_report_documents_match_their_field_lists():
+    """Each report's document, keys in order, as the hand-written field
+    lists of the serializers it replaced wrote it."""
+    checks = verify.VerificationReport()
+    checks.add("consistent-not-restrictive", True, 0.0)
+    checks.add("rotation-consistent-unrestricted", False, -12.5, "score below threshold", 0)
+    sweep = verify.SweepReport(2, 10, [{"trial_seed": 5, "fact": "C{1}", "axioms": ["R{2}"], "perm": [1, 0]}], 4)
+    cases = [
+        (MigReport((0.5, 0.25), 0.375, "mc", 4000),
+         {"per_factor": [0.5, 0.25], "mean": 0.375, "mode": "mc", "samples": 4000}),
+        (MatchCheckResult(False, 0.0125, 0.0031, 0.0, 2000, 7),
+         {"passed": False, "statistic": 0.0125, "threshold": 0.0031, "p_value": 0.0, "samples": 2000, "seed": 7}),
+        (verify.VerifyCheck("rotation-distribution-match", "pass", 0.5, "p=0.42", 3),
+         {"name": "rotation-distribution-match", "status": "pass", "statistic": 0.5, "detail": "p=0.42", "seed": 3}),
+        (sweep,
+         {"trials": 2, "facts_checked": 10,
+          "violations": [{"trial_seed": 5, "fact": "C{1}", "axioms": ["R{2}"], "perm": [1, 0]}],
+          "seed": 4, "passed": False}),
+        (checks,
+         {"passed": False, "checks": [
+             {"name": "consistent-not-restrictive", "status": "pass", "statistic": 0.0, "detail": "",
+              "seed": None},
+             {"name": "rotation-consistent-unrestricted", "status": "fail", "statistic": -12.5,
+              "detail": "score below threshold", "seed": 0}]}),
+    ]
+    for report, expected in cases:
+        doc = report.to_dict()
+        assert doc == expected and list(doc) == list(expected), type(report).__name__
+        assert json.loads(json.dumps(doc)) == expected
 
 
 # -- assumption reports ------------------------------------------------------------------------
