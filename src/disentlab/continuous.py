@@ -9,7 +9,7 @@ data distribution yet entangles the angle into the remaining factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -22,9 +22,8 @@ TWO_PI = 2.0 * np.pi
 class DiskRotationWorld:
     """Oracle: s1 ~ unif[0, 2pi), (s2, s3) ~ unif(unit disk), g* = identity."""
 
-    family: str = "disk-rotation"
-    n: int = 3
-    ordered: tuple[bool, ...] = (True, True, True)
+    n: ClassVar[int] = 3
+    ordered: ClassVar[tuple[bool, ...]] = (True, True, True)
 
     def sample_latents(self, rng: np.random.Generator, m: int) -> np.ndarray:
         angles = rng.uniform(0.0, TWO_PI, m)
@@ -61,29 +60,16 @@ class DiskRotationWorld:
 
 
 @dataclass(frozen=True)
-class RotationCandidate:
+class RotationCandidate(DiskRotationWorld):
     """Candidate whose generator rotates (z2, z3) by the angle z1.
 
-    The latent prior equals the oracle prior (rotation preserves the
-    disk's uniform measure), so the model matches the observation
+    It samples latents as the oracle world does, and rotation preserves
+    the disk's uniform measure, so the model matches the observation
     distribution while z1 leaks into the measured factors 2 and 3.
+    ``base`` is the oracle.
     """
 
     base: DiskRotationWorld = field(default_factory=DiskRotationWorld)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def ordered(self) -> tuple[bool, ...]:
-        return self.base.ordered
-
-    def sample_latents(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return self.base.sample_latents(rng, m)
-
-    def resample_latents(self, rng, latents, resample_cols) -> np.ndarray:
-        return self.base.resample_latents(rng, latents, resample_cols)
 
     def phi(self, z: np.ndarray) -> np.ndarray:
         """Forward reparameterization (equals e* . g here)."""

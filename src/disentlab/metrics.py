@@ -298,19 +298,17 @@ def _normalized(target, I, kind, report_set, mode, samples, seed):
     if mode == "exact":
         num, gap = (float(a[0]) for a in _exact_stats(*target.exact_view(), [I], gap=True))
         den = num + gap
-        if den <= DEGENERACY_THRESHOLD:
-            raise DegenerateDenominator(
-                f"{kind} denominator {den!r} for I={report_set} is uninformative"
-            )
-        return ScoreReport(target.direction, kind, report_set, gap / den, num, den, "exact")
-    if mode != "mc":
+    elif mode == "mc":
+        num_devs, den_devs = _mc_deviations(target, I, samples, seed)
+        num, den = float(num_devs.mean()), float(den_devs.mean())
+    else:
         raise MetricError(f"unknown mode {mode!r}; expected 'exact' or 'mc'")
-    num_devs, den_devs = _mc_deviations(target, I, samples, seed)
-    num, den = float(num_devs.mean()), float(den_devs.mean())
     if den <= DEGENERACY_THRESHOLD:
         raise DegenerateDenominator(
             f"{kind} denominator {den!r} for I={report_set} is uninformative"
         )
+    if mode == "exact":
+        return ScoreReport(target.direction, kind, report_set, gap / den, num, den, "exact")
     return ScoreReport(
         target.direction, kind, report_set, 1.0 - num / den, num, den, "mc", samples,
         _ratio_std_error(num_devs, den_devs), seed,
@@ -472,7 +470,8 @@ def mc_match_check(
     a test at significance level 0.01.  The statistic depends only on cell
     counts, so a random permutation of the pooled records is drawn as what
     it does to them: a multivariate hypergeometric split of the pooled
-    counts, one split at a time.
+    counts, one split at a time.  The oracle is any disk-rotation world,
+    the rotation candidate included; the test is symmetric in its samples.
     """
     if not isinstance(oracle, DiskRotationWorld):
         raise MetricError("mc_match_check compares samplers of a continuous world")
@@ -496,15 +495,12 @@ def mc_match_check(
 
 
 def _grid_cells(a: np.ndarray, b: np.ndarray, bins_per_dim: int):
+    """Cell ids of the rows of a and b on the pooled equal-mass grid, and the cell count."""
     pooled = np.vstack([a, b])
-    d = pooled.shape[1]
-    ids_a = np.zeros(len(a), dtype=np.int64)
-    ids_b = np.zeros(len(b), dtype=np.int64)
-    for c in range(d):
-        edges = np.quantile(pooled[:, c], np.arange(1, bins_per_dim) / bins_per_dim)
-        ids_a = ids_a * bins_per_dim + np.searchsorted(edges, a[:, c], side="right")
-        ids_b = ids_b * bins_per_dim + np.searchsorted(edges, b[:, c], side="right")
-    return ids_a, ids_b, bins_per_dim**d
+    ids = np.zeros(len(pooled), dtype=np.int64)
+    for column in pooled.T:
+        ids = ids * bins_per_dim + _equal_mass_bins(column, bins_per_dim)
+    return ids[:len(a)], ids[len(a):], bins_per_dim ** pooled.shape[1]
 
 
 def _null_splits(rng, counts: np.ndarray, half: int, draws: int):

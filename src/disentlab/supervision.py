@@ -8,9 +8,9 @@ pairing are match-pairing specializations (share one factor / change one
 set, i.e. share its complement) and canonicalize accordingly.
 
 Exact tables (discrete worlds) are dense arrays over oracle support rows,
-built by one array function that the learner shares; samplers stream
-i.i.d. records from the same processes and also cover the continuous
-family.
+built by one array function that the learner shares; one record builder
+draws i.i.d. records of the same processes, for the continuous family
+too, as record tuples, feature matrices or dataset lines.
 """
 
 from __future__ import annotations
@@ -223,17 +223,26 @@ def augmented_table(obj, spec: SupervisionSpec) -> AugmentedTable:
 # -- sampling -------------------------------------------------------------------
 
 
-def _sample_latent_records(obj, kind: str, I: IndexSet, rng: np.random.Generator, count: int):
-    """Latent arrays (z, z2, y) of `count` i.i.d. records; z2 is None for
-    restricted labeling and y is None unless rank pairing."""
+_FIELDS = {
+    RESTRICTED_LABELING: ("x", "s_I"),
+    MATCH_PAIRING: ("x", "x2"),
+    RANK_PAIRING: ("x", "x2", "y"),
+}
+
+
+def _record_columns(obj, spec: SupervisionSpec, rng: np.random.Generator, count: int) -> list:
+    """The columns [x, s_I], [x, x'] or [x, x', y] of `count` i.i.d.
+    records, one row per record.  An observation column is 1-D for
+    discrete objects (ids) and 2-D for continuous ones."""
+    kind, I = spec.validate_for(obj)
     z = obj.sample_latents(rng, count)
     if kind == RESTRICTED_LABELING:
-        return z, None, None
+        return [obj.observe(z), z[:, I.cols()]]
     if kind == MATCH_PAIRING:
-        return z, obj.resample_latents(rng, z, I.complement().cols()), None
+        return [obj.observe(z), obj.observe(obj.resample_latents(rng, z, I.complement().cols()))]
     z2 = obj.sample_latents(rng, count)
     c = I.cols()[0]
-    return z, z2, z[:, c] >= z2[:, c]
+    return [obj.observe(z), obj.observe(z2), (z[:, c] >= z2[:, c]).astype(int)]
 
 
 def sample_records(obj, spec: SupervisionSpec, seed: int, count: int) -> list[tuple]:
@@ -243,21 +252,8 @@ def sample_records(obj, spec: SupervisionSpec, seed: int, count: int) -> list[tu
     Observations are ids for discrete worlds and float tuples for
     continuous ones.  Deterministic in (seed, count).
     """
-    rng = np.random.default_rng(seed)
-    kind, I = spec.validate_for(obj)
-    z, z2, y = _sample_latent_records(obj, kind, I, rng, count)
-    discrete = isinstance(obj, (DiscreteWorld, CandidateModel))
-
-    def obs_out(x):
-        return x.tolist() if discrete else [tuple(row) for row in x.tolist()]
-
-    xs = obs_out(obj.observe(z))
-    if kind == RESTRICTED_LABELING:
-        return list(zip(xs, map(tuple, z[:, I.cols()].tolist())))
-    x2s = obs_out(obj.observe(z2))
-    if kind == MATCH_PAIRING:
-        return list(zip(xs, x2s))
-    return list(zip(xs, x2s, y.astype(int).tolist()))
+    columns = _record_columns(obj, spec, np.random.default_rng(seed), count)
+    return list(zip(*(c.tolist() if c.ndim == 1 else map(tuple, c.tolist()) for c in columns)))
 
 
 def sample_features(obj, spec: SupervisionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -266,14 +262,7 @@ def sample_features(obj, spec: SupervisionSpec, rng: np.random.Generator, count:
     Continuous observations contribute their coordinates; labels, partner
     observations, and rank indicators are appended as extra columns.
     """
-    kind, I = spec.validate_for(obj)
-    z, z2, y = _sample_latent_records(obj, kind, I, rng, count)
-    if kind == RESTRICTED_LABELING:
-        return np.column_stack([obj.observe(z), z[:, I.cols()]])
-    columns = [obj.observe(z), obj.observe(z2)]
-    if kind == RANK_PAIRING:
-        columns.append(y.astype(float))
-    return np.column_stack(columns)
+    return np.column_stack(_record_columns(obj, spec, rng, count)).astype(float)
 
 
 # -- dataset files ----------------------------------------------------------------
@@ -299,14 +288,10 @@ def write_dataset(path, obj, spec: SupervisionSpec, seed: int, count: int):
 
 
 def _record_doc(kind: str, I: IndexSet, rec: tuple) -> dict:
-    def enc(x):
-        return list(x) if isinstance(x, tuple) else x
-
-    if kind == RESTRICTED_LABELING:
-        return {"x": enc(rec[0]), "s_I": list(rec[1])}
+    doc = dict(zip(_FIELDS[kind], rec))
     if kind == MATCH_PAIRING:
-        return {"x": enc(rec[0]), "x2": enc(rec[1]), "shared": list(I.members())}
-    return {"x": enc(rec[0]), "x2": enc(rec[1]), "y": rec[2]}
+        doc["shared"] = list(I.members())
+    return doc
 
 
 def read_dataset(path) -> tuple[dict, list[dict]]:

@@ -511,8 +511,6 @@ def _resample_table(rng, world: DiscreteWorld, probs, latents, resample_cols) ->
     if not resample_cols:
         return latents.copy()
     fixed = [c for c in range(world.n) if c not in resample_cols]
-    if not fixed:
-        return support[_draw_rows(rng, probs, len(latents))]
     m = len(support)
     ids, count = group_ids(np.concatenate([support, latents]), fixed, world.cards)
     order = np.argsort(ids, kind="stable")  # per group: its support rows, then its latents

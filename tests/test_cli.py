@@ -139,6 +139,18 @@ def test_score_degenerate_reported_not_fatal(runner, tmp_path):
     assert rec["degenerate"] is True and rec["score"] is None
 
 
+def test_score_degenerate_mc_reported_not_fatal(runner, tmp_path):
+    """C{} compares no factor, so its Monte-Carlo denominator is zero too."""
+    w = tmp_path / "w.json"
+    invoke(runner, "world", "gen", "--seed", "1", "--cards", "2,2", "--out", str(w))
+    res = invoke(runner, "score", "--world", str(w), "--set", "", "--mode", "mc", "--format", "json")
+    assert res.exit_code == 0
+    recs = [json.loads(line) for line in res.stdout.splitlines()]
+    assert recs[0] == {"direction": "generator", "kind": "consistency", "index_set": [], "score": None,
+                       "degenerate": True}
+    assert recs[1]["kind"] == "restrictiveness" and recs[1]["mode"] == "mc"
+
+
 def test_score_model_file(runner, tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"perm": [0, 1, 3, 2]}))
@@ -443,6 +455,78 @@ def test_cli_fuzz_never_crashes(command):
                     strict_json(line)
 
         run()
+
+
+@st.composite
+def fact_text(draw, n: int, eta: bool = False):
+    """A conjunction of up to three well-formed C/R/D facts over 1..n, and
+    over 'eta' too when ``eta``."""
+    indices = [str(i) for i in range(1, n + 1)] + (["eta"] if eta else [])
+    fact = st.tuples(st.sampled_from("CRD"), st.lists(st.sampled_from(indices), unique=True))
+    return " & ".join(f"{kind}{{{','.join(members)}}}" for kind, members in draw(st.lists(fact, max_size=3)))
+
+
+@st.composite
+def accepted_lines(draw, command):
+    """``score``, ``calc`` or ``verify`` argument lists of accepted values
+    only, ending in ``--format json``.  A run may still exit 2 where the
+    values meet badly, e.g. a Monte-Carlo mutual information gap of one
+    sample, whose factors have zero entropy."""
+    seed = ["--seed", str(draw(st.integers(0, 5)))]
+    if command == "score":
+        world = draw(st.sampled_from(["rotation", "consistent-not-restrictive", "zigzag-violation", "good"]))
+        args = ["score", "--world", world, *seed, "--samples", draw(st.sampled_from(["1", "2", "40", "200"]))]
+        if world == "good":
+            args += ["--bijection", ",".join(map(str, draw(st.permutations(range(4)))))]
+        if world != "rotation" and draw(st.booleans()):
+            args += ["--mode", draw(st.sampled_from(["exact", "mc"]))]
+        for _ in range(draw(st.integers(0, 2))):
+            args += ["--set", ",".join(draw(st.lists(st.sampled_from("12"), unique=True)))]
+        if draw(st.booleans()):
+            args += ["--facts", draw(fact_text(2)), "--tol", draw(st.sampled_from(["0", "1e-3", "0.5"]))]
+        args += ["--kind", draw(st.sampled_from(["c", "r", "both"]))]
+        args += ["--direction", draw(st.sampled_from(["gen", "enc", "both"]))]
+        if draw(st.booleans()):
+            args.append("--with-mig")
+    elif command == "calc":
+        n, nuisance = draw(st.integers(1, 5)), draw(st.booleans())
+        args = ["calc", "--n", str(n), "--axioms", draw(fact_text(n))]
+        if nuisance:
+            args.append("--nuisance")
+        if draw(st.booleans()):
+            args += ["--query", draw(fact_text(n, nuisance))]
+    else:
+        suites = draw(st.lists(st.sampled_from(["--sweep", "--counterexamples", "--theorems"]), unique=True))
+        args = ["verify", *BOUNDED["verify"], *suites, *seed, "--trials", str(draw(st.integers(0, 3))),
+                "--samples", str(draw(st.integers(1, 50)))]
+    return [*args, "--format", "json"]
+
+
+@pytest.mark.parametrize("command", ["calc", "score", "verify"])
+def test_cli_fuzz_of_accepted_values_reaches_json(command):
+    """Argument lists of accepted values mostly run to the end (exit 0, or 1
+    for a failed verification) and every line they print is strict JSON.
+    At least 80% of the examples must get there; all 50 of each command do."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = _fuzz_files(Path(tmp))
+        runner = CliRunner()
+        exits = []
+
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @given(accepted_lines(command))
+        def run(args):
+            res = runner.invoke(main, [files.get(a, a) for a in args])
+            assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.output)
+            assert res.exit_code in EXITS.get(command, (0, 2)), (args, res.output)
+            exits.append(res.exit_code)
+            if res.exit_code != 2:
+                assert res.stdout.strip(), args
+                for line in res.stdout.splitlines():
+                    strict_json(line)
+
+        run()
+        reached = len(exits) - exits.count(2)
+        assert reached >= 0.8 * len(exits), f"{reached} of {len(exits)} examples reached JSON output"
 
 
 def test_calc_intersection_query(runner):

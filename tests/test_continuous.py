@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from disentlab import rotation_world
-from disentlab.continuous import TWO_PI
+from disentlab.continuous import TWO_PI, DiskRotationWorld
 from disentlab.errors import WorldError
 
 
@@ -74,3 +76,14 @@ def test_bad_resample_coordinates_rejected():
     s = world.sample_latents(rng, 10)
     with pytest.raises(WorldError):
         world.resample_latents(rng, s, [5])
+
+
+def test_candidate_is_the_oracle_world_with_a_rotated_generator():
+    world, cand = rotation_world()
+    assert dataclasses.fields(DiskRotationWorld) == ()
+    assert isinstance(cand, DiskRotationWorld) and cand.base is world
+    assert (cand.n, cand.ordered) == (world.n, world.ordered) == (3, (True, True, True))
+    z = np.array([[np.pi / 2, 1.0, 0.0]])
+    assert np.allclose(world.observe(z), z) and np.allclose(cand.observe(z), [[np.pi / 2, 0.0, 1.0]])
+    with pytest.raises(TypeError):
+        DiskRotationWorld(n=2)

@@ -23,7 +23,7 @@ from disentlab.errors import (
     SupervisionError,
     UnorderedFactorForRank,
 )
-from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, row_keys
+from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, row_keys, sample_features
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
 
@@ -229,6 +229,17 @@ def test_sampling_deterministic_in_seed(world22):
     s = spec("match-pairing", 1)
     assert sample_records(world22, s, 7, 50) == sample_records(world22, s, 7, 50)
     assert sample_records(world22, s, 7, 50) != sample_records(world22, s, 8, 50)
+
+
+@pytest.mark.parametrize("text", ["label:1,2", "share:1", "rank:2"])
+def test_features_are_the_records_as_floats(world22, text):
+    """Feature rows are the sampled records flattened, as a float matrix for
+    discrete objects too, from the same draws."""
+    s = SupervisionSpec.parse(text)
+    features = sample_features(world22, s, np.random.default_rng(3), 40)
+    records = sample_records(world22, s, 3, 40)
+    flat = [[v for field in rec for v in (field if isinstance(field, tuple) else (field,))] for rec in records]
+    assert features.dtype == float and features.tolist() == flat
 
 
 def test_empirical_frequencies_converge():

@@ -83,6 +83,18 @@ def test_conditional_zero_mass_raises():
         w.conditional(IndexSet.of([1, 2], 2), (0, 1))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_resampling_every_coordinate_draws_from_the_prior(seed):
+    """With no coordinate held fixed the conditional is the prior: the
+    redraw equals a prior draw from the same generator state."""
+    world = random_world(seed, 3, [2, 3, 2], 0.5)
+    model = CandidateModel(world, np.random.default_rng(seed).permutation(world.support_size))
+    for obj in (world, model):
+        latents = obj.sample_latents(np.random.default_rng(100 + seed), 300)
+        redrawn = obj.resample_latents(np.random.default_rng(seed), latents, range(3))
+        assert np.array_equal(redrawn, obj.sample_latents(np.random.default_rng(seed), 300))
+
+
 # -- random worlds --------------------------------------------------------------
 
 
