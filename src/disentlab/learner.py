@@ -37,12 +37,15 @@ matched set is therefore the same, in the same order, as filtering
 
 Guarantee checks take the matched set as one (k, m) array of bijections
 (``matched_perms``) and get its verdicts from the batched exact engine
-(``metrics.generator_holds``), building no candidate model.
+(``metrics.generator_holds``), building no candidate model.  Match pairing
+over no factor or every factor matches all m! bijections and guarantees a
+fact true of every model, so ``verify_guarantee`` answers it in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -132,13 +135,17 @@ def _accepted(p, perms: np.ndarray, kernels) -> np.ndarray:
     return perms
 
 
+def _check_support_cap(world: DiscreteWorld) -> None:
+    m = world.support_size
+    if m > MAX_ENUM_SUPPORT:
+        raise SupportTooLarge(f"support {m} exceeds enumeration cap {MAX_ENUM_SUPPORT}")
+
+
 def matched_perms(world: DiscreteWorld, specs=None) -> np.ndarray:
     """The matched set as one (k, m) array of support bijections in
     ``itertools.permutations`` order, row i being the bijection of
     ``enumerate_matched(...)[i]``; no model is built."""
-    m = world.support_size
-    if m > MAX_ENUM_SUPPORT:
-        raise SupportTooLarge(f"support {m} exceeds enumeration cap {MAX_ENUM_SUPPORT}")
+    _check_support_cap(world)
     allowed, pairs, kernels = _constraints(world, _as_spec_list(specs))
     leaves = _bijections(allowed, pairs)
     if not kernels:
@@ -175,8 +182,19 @@ class GuaranteeReport:
 def verify_guarantee(world: DiscreteWorld, spec: SupervisionSpec) -> GuaranteeReport:
     """Check that every matched candidate is consistent on the canonical
     index set of the supervision (for change pairing that set is the
-    complement of the changed factors, hence restrictiveness on them)."""
-    guaranteed = Fact("C", spec.guaranteed_index_set(world.n))
+    complement of the changed factors, hence restrictiveness on them).
+
+    Match pairing over no factor or over every factor is answered in closed
+    form: x' is then independent of x or equal to it, so both tables depend
+    only on the observation distribution, which every bijection preserves.
+    All m! bijections match, and C(empty) and C(full) hold on every model.
+    The support cap applies as in ``matched_perms``.
+    """
+    kind, I = spec.canonical(world.n)
+    guaranteed = Fact("C", I)
+    if kind == MATCH_PAIRING and I.bits in (0, (1 << world.n) - 1):
+        _check_support_cap(world)
+        return GuaranteeReport(spec, guaranteed, factorial(world.support_size), ())
     perms = matched_perms(world, [spec])
     ok = generator_holds(world, perms, guaranteed)
     bad = tuple(tuple(perm) for perm in perms[~ok].tolist())

@@ -146,10 +146,6 @@ class AugmentedTable:
             for idx in zip(*np.nonzero(self.outcomes))
         })
 
-    def marginal_x(self) -> dict:
-        rows = self.table.reshape(len(self.axes[0]), -1).sum(axis=1)
-        return dict(zip(self.axes[0], rows.tolist()))
-
 
 def tables_match(a: AugmentedTable, b: AugmentedTable, tol: float = MASS_TOL) -> bool:
     """Whether two augmented tables of one world agree within a sup-norm

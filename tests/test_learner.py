@@ -1,5 +1,6 @@
 import time
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -19,6 +20,7 @@ from disentlab import (
 )
 from disentlab import learner
 from disentlab.errors import SupportTooLarge
+from disentlab.metrics import generator_holds
 from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, RESTRICTED_LABELING
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import (
@@ -30,7 +32,7 @@ from reference_tables import (
     reference_tables,
 )
 
-CAP_BUDGET_S = 1.2  # about 3x the largest time measured at support 8 (0.39 s, two competing processes on 2 CPUs)
+CAP_BUDGET_S = 0.4  # about 3x the largest time measured at support 8 (0.131 s, two competing processes on 2 CPUs)
 
 
 def spec(kind, *indices):
@@ -273,3 +275,39 @@ def test_verify_guarantee_at_enumeration_cap():
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in reports) and sum(r.matched_count for r in reports) == 53041
     assert elapsed < CAP_BUDGET_S, f"{elapsed:.2f} s at support {world.support_size}"
+
+
+def vacuous_specs(n):
+    """Match pairing over no factor and over every factor, directly and as
+    share or change pairing over every factor."""
+    every = tuple(range(1, n + 1))
+    return [spec("match-pairing"), spec("match-pairing", *every), spec("share-pairing", *every), spec("change-pairing", *every)]
+
+
+@pytest.mark.parametrize(
+    "worlds",
+    [lambda: theorem_battery(support_max=7, seed=0), lambda: theorem_battery(support_max=6, seed=11), lambda: [uniform_world((2, 2, 2))]],
+    ids=["battery7-seed0", "battery6-seed11", "uniform222"],
+)
+def test_vacuous_guarantees_equal_listing(worlds):
+    """The closed-form report of match pairing over no factor or every
+    factor equals the one built from the listed matched set: all m!
+    bijections match and every one is consistent on the guaranteed set."""
+    for world in worlds():
+        for s in vacuous_specs(world.n):
+            guaranteed = Fact("C", s.guaranteed_index_set(world.n))
+            perms = learner.matched_perms(world, [s])
+            ok = generator_holds(world, perms, guaranteed)
+            assert len(perms) == factorial(world.support_size) and ok.all(), (world, s)
+            listed = learner.GuaranteeReport(s, guaranteed, len(perms), tuple(tuple(p) for p in perms[~ok].tolist()))
+            assert verify_guarantee(world, s) == listed, (world, s)
+
+
+def test_vacuous_guarantee_keeps_support_cap():
+    world = uniform_world((3, 3))
+    for s in vacuous_specs(world.n):
+        with pytest.raises(SupportTooLarge) as listed:
+            learner.matched_perms(world, [s])
+        with pytest.raises(SupportTooLarge) as closed:
+            verify_guarantee(world, s)
+        assert str(closed.value) == str(listed.value)

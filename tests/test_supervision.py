@@ -198,7 +198,8 @@ def test_match_table_is_exchangeable():
 def test_tables_marginalize_to_observation_distribution(kind, indices):
     w = random_world(9, 2, [2, 3], 0.6)
     table = augmented_table(w, SupervisionSpec(kind, indices))
-    marginal = table.marginal_x()
+    rows = table.table.sum(axis=tuple(range(1, table.table.ndim)))
+    marginal = dict(zip(table.axes[0], rows.tolist()))
     expected = {}
     for t, p in zip(w.support, w.support_probs):
         x = w.generate(t)
