@@ -12,14 +12,15 @@ differing coordinate); continuous factors by squared Euclidean distance.
 Exact mode enumerates conditional value distributions per group, writing
 the numerator and the numerator-to-denominator gap as sums of products of
 nonnegative terms, so the [0, 1] score bound survives floating point
-verbatim rather than through clamping.  One exact engine call batches
-index sets as well as models (a (k, m) array of support bijections); a
-verdict reads I for C(I), ~I for R(I) and both for D(I).
+verbatim rather than through clamping.  One exact engine pass, over a
+memoised support layout, batches index sets as well as models (a (k, m)
+array of bijections); a verdict reads I for C(I), ~I for R(I), both for D(I).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,7 @@ ENCODER_BASED = "encoder"
 DEGENERACY_THRESHOLD = 1e-9
 EXACT_TOL = 1e-12
 MC_CHUNK = 8192
+EXACT_CHUNK = 1024  # models per exact-engine pass: at most 1024 m x pairs bins per array
 
 
 def report_doc(report) -> dict:
@@ -135,6 +137,31 @@ class EvaluationTarget:
 # -- exact engine ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _pair_layout(shape: tuple, data: bytes, cards: tuple, sets: tuple) -> tuple:
+    """Read-only support-only arrays of the (set, column) pairs, in set order,
+    and their (pair, group) segments: pair columns, row first cells per pair,
+    segment first cells, cell segments, pair first cells, cell (pair, value)
+    slots of the marginal, the sets with columns and their first pairs."""
+    for I in (I for I in sets if I.n != shape[1] or I.nuisance):
+        raise ArityMismatch(f"index set {I!r} does not match target arity {shape[1]}")
+    set_cols = [I.cols() for I in sets]
+    ids, counts = group_ids(np.frombuffer(data, dtype=np.int64).reshape(shape), set_cols, cards)
+    pairs = [(s, c) for s, cols in enumerate(set_cols) for c in cols]
+    pair_set, col = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    card, groups = np.asarray(cards, dtype=np.int64)[col], counts[pair_set]
+    seg_card = np.repeat(card, groups)
+    segs = np.cumsum(seg_card) - seg_card
+    cell_seg = np.repeat(np.arange(len(segs)), seg_card)
+    pair_cells = np.cumsum(groups * card) - groups * card
+    slot = np.repeat(np.cumsum(card) - card, groups * card) + np.arange(len(cell_seg)) - segs[cell_seg]
+    layout = (col, pair_cells + ids[pair_set].T * card, segs, cell_seg, pair_cells, slot,
+              *np.unique(pair_set, return_index=True))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
 def _exact_stats(support, probs, mapped, cards, sets, gap: bool = False):
     """(numerator, gap) of the conditional-resampling deviation of every
     index set in ``sets``, for models sharing one latent support: ``probs``
@@ -145,38 +172,37 @@ def _exact_stats(support, probs, mapped, cards, sets, gap: bool = False):
 
     For an index set I, numerator = sum over the groups of rows that agree
     on I of the within-group probability that an i.i.d. pair of measured
-    values differs, per coordinate of I; gap = denominator - numerator,
-    expanded as the group-weighted squared distance between conditional and
-    marginal value distributions.  Both are accumulated purely from products
-    and squares of nonnegative floats, with the same reductions for every
-    batch shape and set list, so an entry does not depend on what else the
-    call computes.
+    values differs, per coordinate of I: the sum of t (w - t) / w over the
+    masses t of a group's values, w being the group's mass.  gap =
+    denominator - numerator, expanded as the group-weighted squared distance
+    between conditional and marginal value distributions.  Both are
+    accumulated purely from products, ratios and squares of nonnegative
+    floats (w - t is one: a sum of nonnegative floats is no smaller than its
+    terms).  One bincount gives the (model, pair, group, value) cells of
+    ``EXACT_CHUNK`` models; in-order ``np.add.reduceat`` sums give each
+    group's mass, each pair's cells and each set's columns, so an entry
+    does not depend on the other sets, models or cards of the call.
     """
-    batch = probs.shape[:-1]
-    k = probs.size // len(support)
-    model = np.arange(k).reshape(batch + (1,))
-    num = np.zeros(batch + (len(sets),))
-    gaps = np.zeros(batch + (len(sets),))
-    for s, I in enumerate(sets):
-        if I.n != support.shape[1] or I.nuisance:
-            raise ArityMismatch(f"index set {I!r} does not match target arity {support.shape[1]}")
-        cols = I.cols()
-        inverse, groups = group_ids(support, cols, cards)
-        cells = model * groups + inverse  # (model, group) per row
-        num_I = gap_I = 0.0
-        for c in cols:
-            bins = (cells * cards[c] + mapped[..., c]).ravel()
-            table = np.bincount(bins, weights=probs.ravel(), minlength=k * groups * cards[c])
-            table = table.reshape(batch + (groups, cards[c]))
-            w = table.sum(axis=-1)
-            cond = table / w[..., None]
-            row_sum = cond.sum(axis=-1)
-            num_I = num_I + (w * (cond * (row_sum[..., None] - cond)).sum(axis=-1)).sum(axis=-1)
-            if gap:
-                marginal = (w[..., None] * cond).sum(axis=-2)
-                gap_I = gap_I + (w[..., None] * (cond - marginal[..., None, :]) ** 2).sum(axis=(-2, -1))
-        num[..., s], gaps[..., s] = num_I, gap_I
-    return num, gaps if gap else None
+    col, base, segs, cell_seg, pair_cells, slot, filled, set_pairs = _pair_layout(
+        support.shape, np.asarray(support, dtype=np.int64).tobytes(), tuple(cards), tuple(sets))
+    shape, cells = probs.shape[:-1] + (len(sets),), len(cell_seg)
+    probs, mapped = probs.reshape(-1, support.shape[0]), mapped.reshape((-1,) + support.shape)
+    num, gaps = np.zeros((len(probs), len(sets))), np.zeros((len(probs), len(sets)))
+    for lo in range(0, len(probs) if len(col) else 0, EXACT_CHUNK):
+        bins = mapped[lo:lo + EXACT_CHUNK, :, col] + base  # (k, m, pairs)
+        k = len(bins)
+        bins += np.arange(0, k * cells, cells)[:, None, None]
+        table = np.bincount(bins.ravel(), np.repeat(probs[lo:lo + k], len(col)), k * cells).reshape(k, cells)
+        w = np.add.reduceat(table, segs, axis=1)[:, cell_seg]  # each cell's group mass
+        pair_num = np.add.reduceat(table * (w - table) / w, pair_cells, axis=1)
+        num[lo:lo + k, filled] = np.add.reduceat(pair_num, set_pairs, axis=1)
+        if gap:
+            cond = table / w
+            slots = (np.arange(k) * (slot[-1] + 1))[:, None] + slot
+            marginal = np.bincount(slots.ravel(), (w * cond).ravel()).reshape(k, -1)
+            dev = np.add.reduceat(w * (cond - marginal[:, slot]) ** 2, pair_cells, axis=1)
+            gaps[lo:lo + k, filled] = np.add.reduceat(dev, set_pairs, axis=1)
+    return num.reshape(shape), gaps.reshape(shape) if gap else None
 
 
 def _fact_verdicts(raw, facts, tol: float) -> np.ndarray:

@@ -10,8 +10,9 @@ assumption reports for worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations as _combinations
-from itertools import permutations
+from itertools import compress, permutations
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .worlds import (
 
 BRUTE_SUPPORT_CAP = 4096
 FACT_TOL = 1e-12
+_c_facts = cache(lambda n: tuple(Fact("C", IndexSet(n, bits)) for bits in range(1 << n)))
 
 
 # -- independent brute-force oracle ------------------------------------------------
@@ -172,11 +174,10 @@ def _true_atoms(world: DiscreteWorld, perms) -> list[set[tuple[str, int]]]:
     when the raw consistency of I is zero, R(I) when that of ~I is."""
     n = world.n
     full = (1 << n) - 1
-    facts = [Fact("C", IndexSet(n, bits)) for bits in range(1 << n)]
-    zero = generator_holds(world, perms, facts).reshape(-1, 1 << n)
+    zero = generator_holds(world, perms, _c_facts(n)).reshape(-1, 1 << n)
     return [
         {("C", bits) for bits in row} | {("R", full ^ bits) for bits in row}
-        for row in (np.flatnonzero(z).tolist() for z in zero)
+        for row in (list(compress(range(1 << n), z)) for z in zero.tolist())
     ]
 
 

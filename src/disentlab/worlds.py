@@ -376,23 +376,26 @@ class CandidateModel:
 # -- row grouping -------------------------------------------------------------
 
 
-def group_ids(rows: np.ndarray, cols, cards) -> tuple[np.ndarray, int]:
-    """(group id of each row by its values on the 0-based ``cols``, number
-    of groups).  The ids are the dense rank of a mixed-radix key with digit
-    ``rows[:, c] < cards[c]``, so they follow the lexicographic order of the
-    values, as ``np.unique(rows[:, cols], axis=0, return_inverse=True)``
-    numbers them.  The key spans prod(cards[c]) values, no more than the
-    factor grid."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    size = 1
-    for c in cols:
-        key *= int(cards[c])
-        key += rows[:, c]
-        size *= int(cards[c])
-    seen = np.zeros(size, dtype=bool)
-    seen[key] = True
-    rank = np.cumsum(seen) - 1
-    return rank[key], int(rank[-1]) + 1
+def group_ids(rows: np.ndarray, col_lists, cards) -> tuple[np.ndarray, np.ndarray]:
+    """((S, rows) group ids, (S,) group counts): the rows grouped by their
+    values on each of S lists of 0-based columns.  A list's ids are the dense
+    rank of a mixed-radix key with digit ``rows[:, c] < cards[c]``, in the
+    lexicographic order of ``np.unique(rows[:, cols], axis=0)``.  A key spans
+    prod(cards[c]) values, no more than the factor grid; one dense rank
+    serves every list, with their key ranges laid end to end."""
+    keys = np.zeros((len(col_lists), len(rows)), dtype=np.int64)
+    bounds = [0]
+    for key, cols in zip(keys, col_lists):
+        for c in cols:
+            key *= int(cards[c])
+            key += rows[:, c]
+        key += bounds[-1]
+        bounds.append(bounds[-1] + prod(int(cards[c]) for c in cols))
+    seen = np.zeros(bounds[-1] + 1, dtype=np.int64)
+    seen[keys + 1] = 1
+    below = np.cumsum(seen)  # below[x]: distinct keys less than x
+    starts = below[bounds]
+    return below[keys] - starts[:-1, None], starts[1:] - starts[:-1]
 
 
 # -- zig-zag connectedness -----------------------------------------------------
@@ -424,8 +427,8 @@ def zigzag_connectivity(support) -> Callable[[int, int], bool]:
     def group_min(bits: int, label: np.ndarray) -> np.ndarray:
         """Each row's least label among the rows sharing its values outside ``bits``."""
         if bits not in groups:
-            groups[bits] = group_ids(support, [c for c in range(n) if not bits >> c & 1], radix)
-        ids, count = groups[bits]
+            groups[bits] = group_ids(support, [[c for c in range(n) if not bits >> c & 1]], radix)
+        (ids,), (count,) = groups[bits]
         low = np.full(count, m)
         np.minimum.at(low, ids, label)
         return low[ids]
@@ -512,7 +515,7 @@ def _resample_table(rng, world: DiscreteWorld, probs, latents, resample_cols) ->
         return latents.copy()
     fixed = [c for c in range(world.n) if c not in resample_cols]
     m = len(support)
-    ids, count = group_ids(np.concatenate([support, latents]), fixed, world.cards)
+    (ids,), (count,) = group_ids(np.concatenate([support, latents]), [fixed], world.cards)
     order = np.argsort(ids, kind="stable")  # per group: its support rows, then its latents
     bounds = np.searchsorted(ids[order], np.arange(count + 1))
     out = np.array(latents)

@@ -318,50 +318,69 @@ def test_holds_rejects_unknown_mode(world22):
     assert str(verdict.value) == str(normalized.value)
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-def test_batched_numerators_equal_per_model(seed):
-    """One (k, m) call gives every matched model's raw consistency of the
-    guaranteed set and of its complement, float.hex for float.hex."""
-    for world in theorem_battery(support_max=6, seed=seed):
-        for spec in battery_specs(world):
-            perms = matched_perms(world, [spec])
-            I = spec.guaranteed_index_set(world.n)
-            for J in (I, I.complement()):
-                batch = metrics._exact_stats(
-                    world.support, world.support_probs[perms], world.support[perms], world.cards, [J]
-                )[0][:, 0]
-                assert batch.shape == (len(perms),)
-                for perm, num in zip(perms, batch.tolist()):
-                    ref = raw_consistency(gen_target(CandidateModel(world, perm)), J)
-                    assert num.hex() == ref.hex(), (world, spec, perm, J)
+def _engine_batches(source):
+    """(world, spec or None, bijections): for a seed, every battery world's
+    matched set per spec; for "wide", more random bijections than one engine
+    chunk of worlds with a card of 9 beside a card of 2 or 5 and of the
+    uniform 3x3x2 world (18 groups on the full set).  Padding the 5 values
+    to the call's 9 would change their sum's order, which numpy makes
+    pairwise from 8 terms on."""
+    if source != "wide":
+        for world in theorem_battery(support_max=6, seed=source):
+            for spec in battery_specs(world):
+                yield world, spec, matched_perms(world, [spec])
+        return
+    rng = np.random.default_rng(5)
+    for world in (random_world(2, 2, (9, 2), 0.5), random_world(4, 2, (5, 9), 0.5), uniform_world((3, 3, 2))):
+        yield world, None, np.array([rng.permutation(world.support_size) for _ in range(metrics.EXACT_CHUNK + 37)])
+
+
+@pytest.mark.parametrize("source", [0, 11, "wide"])
+def test_batched_numerators_equal_per_model(source):
+    """One (k, m) call gives every model's raw consistency of the guaranteed
+    set and of its complement (of every set, on the wide worlds), float.hex
+    for float.hex."""
+    for world, spec, perms in _engine_batches(source):
+        if spec is None:
+            sets = [IndexSet(world.n, bits) for bits in range(1 << world.n)]
+        else:
+            sets = [spec.guaranteed_index_set(world.n), spec.guaranteed_index_set(world.n).complement()]
+        targets = [gen_target(CandidateModel(world, perm)) for perm in perms]
+        for J in sets:
+            batch = metrics._exact_stats(
+                world.support, world.support_probs[perms], world.support[perms], world.cards, [J]
+            )[0][:, 0]
+            assert batch.shape == (len(perms),)
+            for target, num in zip(targets, batch.tolist()):
+                ref = raw_consistency(target, J)
+                assert num.hex() == ref.hex(), (world, spec, target.model, J)
 
 
 def _every_fact(n):
     return [Fact(kind, IndexSet(n, bits)) for bits in range(1 << n) for kind in "CRD"]
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-def test_multi_set_call_equals_one_set_calls(seed):
+@pytest.mark.parametrize("source", [0, 11, "wide"])
+def test_multi_set_call_equals_one_set_calls(source):
     """One engine call over every index set (and one verdict call over every
-    C/R/D fact) gives, for every matched model of the battery, the same
-    numerators float.hex for float.hex and the same verdicts as one call
-    per set (per fact)."""
-    for world in theorem_battery(support_max=6, seed=seed):
+    C/R/D fact) gives, for every model of the batch, the same numerators
+    float.hex for float.hex and the same verdicts as one call per set (per
+    fact), so an entry depends neither on the other sets of the call nor on
+    its widest card."""
+    for world, spec, perms in _engine_batches(source):
         n = world.n
         sets = [IndexSet(n, bits) for bits in range(1 << n)]
         facts = _every_fact(n)
-        for spec in battery_specs(world):
-            perms = matched_perms(world, [spec])
-            view = world.support, world.support_probs[perms], world.support[perms], world.cards
-            nums = metrics._exact_stats(*view, sets)[0]
-            assert nums.shape == (len(perms), len(sets))
-            for j, I in enumerate(sets):
-                one = metrics._exact_stats(*view, [I])[0][:, 0]
-                assert [v.hex() for v in nums[:, j].tolist()] == [v.hex() for v in one.tolist()], (world, spec, I)
-            verdicts = metrics.generator_holds(world, perms, facts)
-            assert verdicts.shape == (len(perms), len(facts))
-            for j, fact in enumerate(facts):
-                assert verdicts[:, j].tolist() == metrics.generator_holds(world, perms, fact).tolist(), fact
+        view = world.support, world.support_probs[perms], world.support[perms], world.cards
+        nums = metrics._exact_stats(*view, sets)[0]
+        assert nums.shape == (len(perms), len(sets))
+        for j, I in enumerate(sets):
+            one = metrics._exact_stats(*view, [I])[0][:, 0]
+            assert [v.hex() for v in nums[:, j].tolist()] == [v.hex() for v in one.tolist()], (world, spec, I)
+        verdicts = metrics.generator_holds(world, perms, facts)
+        assert verdicts.shape == (len(perms), len(facts))
+        for j, fact in enumerate(facts):
+            assert verdicts[:, j].tolist() == metrics.generator_holds(world, perms, fact).tolist(), fact
 
 
 def test_batched_verdicts_equal_per_model_and_brute_force(world22):
