@@ -10,13 +10,7 @@ from .calculus import Fact, FactSet, closure, derive, entails, nuisance_closure,
 from .continuous import DiskRotationWorld, RotationCandidate, rotation_world
 from .errors import DisentlabError
 from .indexset import IndexSet
-from .learner import (
-    check_informativeness,
-    enumerate_matched,
-    find_violating_model,
-    matched_report,
-    verify_guarantee,
-)
+from .learner import enumerate_matched, find_violating_model, verify_guarantee
 from .metrics import (
     EvaluationTarget,
     MatchCheckResult,
@@ -28,7 +22,6 @@ from .metrics import (
     normalized_consistency,
     normalized_restrictiveness,
     raw_consistency,
-    raw_restrictiveness,
 )
 from .supervision import (
     AugmentedTable,

@@ -49,9 +49,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import DisentlabError, SupportTooLarge
-from .indexset import IndexSet
-from .metrics import EvaluationTarget, generator_holds, mig
+from .errors import SupportTooLarge
+from .metrics import generator_holds
 from .calculus import Fact
 from .supervision import (
     MASS_TOL,
@@ -209,36 +208,3 @@ def find_violating_model(world: DiscreteWorld, specs, target: Fact) -> Candidate
     bad = np.flatnonzero(~generator_holds(world, perms, target))
     return CandidateModel(world, perms[bad[0]]) if len(bad) else None
 
-
-def check_informativeness(world: DiscreteWorld, model) -> bool:
-    """Whether decoding through the model and re-encoding recovers every
-    support tuple: e* . g . e . g* must be the identity on the support."""
-    for t in world.support:
-        s = tuple(int(v) for v in t)
-        try:
-            x = world.generate(s)
-            z = model.apply_enc(x)
-            x2 = model.apply_gen(z)
-            if world.encode(x2) != s:
-                return False
-        except DisentlabError:
-            return False
-    return True
-
-
-def matched_report(world: DiscreteWorld, specs=None) -> list[dict]:
-    """Per-candidate summary of the matched set: bijection, single-factor
-    facts satisfied, and the mutual information gap."""
-    specs = _as_spec_list(specs)
-    perms = matched_perms(world, specs)
-    facts = [Fact(kind, IndexSet.of([i], world.n)) for i in range(1, world.n + 1) for kind in "CRD"]
-    verdicts = generator_holds(world, perms, facts)
-    return [
-        {
-            "perm": perm.tolist(),
-            "specs": [s.to_string() for s in specs],
-            "facts": [f"{fact.kind}{fact.index_set}" for fact, ok in zip(facts, row) if ok],
-            "mig": list(mig(EvaluationTarget.generator_based(CandidateModel(world, perm))).per_factor),
-        }
-        for perm, row in zip(perms, verdicts)
-    ]

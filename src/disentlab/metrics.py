@@ -238,12 +238,6 @@ def raw_consistency(target: EvaluationTarget, I: IndexSet) -> float:
     return float(_exact_stats(*target.exact_view(), [I])[0][0])
 
 
-def raw_restrictiveness(target: EvaluationTarget, I: IndexSet) -> float:
-    """Dual deviation: resample I, measure the complement.  Definitionally
-    equal to the raw consistency of the complement set."""
-    return raw_consistency(target, I.complement())
-
-
 # -- Monte-Carlo engine ------------------------------------------------------------
 
 

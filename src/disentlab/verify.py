@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import Fact, RuleGuard, closure, entails, nuisance_closure
 from .continuous import rotation_world
-from .errors import SupportTooLarge
+from .errors import ArityMismatch, SupportTooLarge
 from .indexset import IndexSet
 from .learner import enumerate_matched, find_violating_model, matched_perms, verify_guarantee
 from .metrics import (
@@ -488,7 +488,7 @@ def check_nuisance_guarantee(world: DiscreteWorld, supervised: int) -> Verificat
     report = VerificationReport()
     n = world.n
     if supervised != n - 1:
-        raise ValueError("the nuisance check supervises all factors except the last")
+        raise ArityMismatch(f"the nuisance check supervises all factors except the last ({n - 1}), got {supervised}")
 
     eta_axioms = [Fact("C", IndexSet.of([i], supervised)) for i in range(1, supervised + 1)]
     fs = nuisance_closure(eta_axioms, supervised)

@@ -131,28 +131,7 @@ class DiscreteWorld:
         i = np.minimum(np.searchsorted(self._sorted_ids, obs_ids), len(self._sorted_ids) - 1)
         return np.where(self._sorted_ids[i] == obs_ids, self._id_order[i], -1)
 
-    def check_index_set(self, I: IndexSet):
-        if I.n != self.n or I.nuisance:
-            raise ArityMismatch(f"index set {I!r} does not match world arity {self.n}")
-
     # -- distributions -----------------------------------------------------
-
-    def conditional(self, I: IndexSet, values: Sequence[int]):
-        """Renormalized slice p(s_rest | s_I = values).
-
-        Returns (tuples, probs): the complement-coordinate value tuples with
-        positive conditional mass, in lexicographic support order.
-        """
-        self.check_index_set(I)
-        cols = I.cols()
-        if len(values) != len(cols):
-            raise ArityMismatch(f"expected {len(cols)} fixed values, got {len(values)}")
-        sel = np.all(self.support[:, cols] == np.asarray(values, dtype=np.int64), axis=1)
-        mass = float(self.support_probs[sel].sum())
-        if mass <= 0.0:
-            raise ZeroMassConditioning(f"conditioning on s_{I} = {tuple(values)} has zero mass")
-        rest = I.complement().cols()
-        return self.support[sel][:, rest], self.support_probs[sel] / mass
 
     def factor_marginal(self, i: int) -> np.ndarray:
         """Marginal distribution of factor i (1-based)."""
@@ -308,7 +287,9 @@ class CandidateModel:
     tuple j, i.e. a latent z equal to support row i is measured by the
     oracle as the factor tuple in support row j.  The induced prior is the
     pushforward q(z) = p*(phi(z)), so the model's observation distribution
-    equals the oracle's exactly.
+    equals the oracle's exactly.  phi is held as arrays over support rows:
+    ``mapped[i]`` is phi of latent row i and ``inv_perm`` gives phi^-1, and
+    g = g* . phi is ``observe``.
     """
 
     def __init__(self, world: DiscreteWorld, perm: Sequence[int]):
@@ -341,21 +322,6 @@ class CandidateModel:
     @property
     def support_size(self) -> int:
         return self.base.support_size
-
-    def phi(self, z: Sequence[int]) -> tuple[int, ...]:
-        """The support bijection: latent tuple -> oracle factor tuple."""
-        return tuple(int(v) for v in self.mapped[self.base.row_of(z)])
-
-    def phi_inverse(self, s: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.support[self.inv_perm[self.base.row_of(s)]])
-
-    def apply_gen(self, z: Sequence[int]) -> int:
-        """g = g* . phi."""
-        return self.base.generate(self.phi(z))
-
-    def apply_enc(self, obs_id: int) -> tuple[int, ...]:
-        """e = phi^-1 . e*."""
-        return self.phi_inverse(self.base.encode(obs_id))
 
     # -- sampling protocol ---------------------------------------------------
 

@@ -59,15 +59,18 @@ def reference_gaps(rows, cards_latent, cards_measured) -> tuple[float, ...]:
 def exact_rows(model, direction: str):
     """(latent, measured, weight) per support row: a latent z with q(z) and
     its measured factors phi(z) (generator), or a factor tuple s with p*(s)
-    and its code phi^-1(s) in place of the latent (encoder)."""
+    and its code phi^-1(s) in place of the latent (encoder).  phi is read
+    row by row off ``model.mapped`` and phi^-1 by inverting that dict."""
     world = model.base
+    phi = {tuple(int(v) for v in z): tuple(int(v) for v in s) for z, s in zip(model.support, model.mapped)}
+    phi_inverse = {s: z for z, s in phi.items()}
     rows = []
     for r, t in enumerate(world.support):
         t = tuple(int(v) for v in t)
         if direction == "generator":
-            rows.append((t, model.phi(t), float(model.probs[r])))
+            rows.append((t, phi[t], float(model.probs[r])))
         else:
-            rows.append((t, model.phi_inverse(t), float(world.support_probs[r])))
+            rows.append((t, phi_inverse[t], float(world.support_probs[r])))
     return rows
 
 

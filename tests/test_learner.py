@@ -2,6 +2,7 @@ import time
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from disentlab import (
@@ -10,11 +11,11 @@ from disentlab import (
     Fact,
     IndexSet,
     SupervisionSpec,
-    check_informativeness,
     enumerate_matched,
     find_violating_model,
     holds,
-    matched_report,
+    mig,
+    random_world,
     uniform_world,
     verify_guarantee,
 )
@@ -117,7 +118,7 @@ def test_restricted_labeling_matched_count(world22):
     assert len(matched) == 4
     # all matched candidates fix the first coordinate of the bijection
     for model in matched:
-        assert all(model.phi(tuple(z))[0] == z[0] for z in world22.support.tolist())
+        assert np.array_equal(model.mapped[:, 0], model.support[:, 0])
 
 
 def test_complete_share_pairing_matched_set(world22):
@@ -160,7 +161,8 @@ def test_find_violating_model_returns_xor_witness(world22):
         world22, [spec("restricted-labeling", 1)], Fact("R", IndexSet.of([1], 2))
     )
     assert witness is not None
-    assert witness.phi((0, 0)) == (0, 0) and witness.phi((1, 0)) != (1, 0)
+    assert witness.mapped[world22.row_of((0, 0))].tolist() == [0, 0]
+    assert witness.mapped[world22.row_of((1, 0))].tolist() != [1, 0]
     violators = [
         m
         for m in enumerate_matched(world22, [spec("restricted-labeling", 1)])
@@ -217,52 +219,52 @@ def test_matched_set_closed_under_relabeling(world22):
         assert tuple(composed) in matched_perms
 
 
-def test_informativeness_of_bijections(world22, xor_model):
-    assert check_informativeness(world22, xor_model)
-    assert check_informativeness(world22, CandidateModel.identity(world22))
+def round_trip(world, model):
+    """e* . g . e . g* over the support: g* and e* are the world's
+    ``observe`` and ``encode_rows``, g is the model's ``observe`` and
+    e = phi^-1 . e* reads the latent row off the inverse bijection."""
+    z = model.support[model.inv_perm[world.encode_rows(world.observe(world.support))]]
+    return world.support[world.encode_rows(model.observe(z))]
 
 
-def test_informativeness_flags_collapsing_model(world22):
-    class CollapsingModel:
-        # non-injective generator: every latent decodes to observation 0
-        def apply_enc(self, x):
-            return world22.encode(x)
-
-        def apply_gen(self, z):
-            return 0
-
-    assert not check_informativeness(world22, CollapsingModel())
+def test_informativeness_of_bijections(world22):
+    for perm in permutations(range(world22.support_size)):
+        assert np.array_equal(round_trip(world22, CandidateModel(world22, perm)), world22.support)
 
 
-def test_informativeness_propagates_foreign_errors(world22):
-    class BrokenModel:
-        def apply_enc(self, x):
-            raise TypeError("not a library error")
-
-        def apply_gen(self, z):
-            return 0
-
-    with pytest.raises(TypeError):
-        check_informativeness(world22, BrokenModel())
+@pytest.mark.parametrize("seed", range(3))
+def test_informativeness_on_scattered_observation_ids(seed):
+    """A correlated world whose generator is a random injection, so e* is a
+    lookup rather than the row index."""
+    world = random_world(seed, 3, [2, 3, 2], 0.5)
+    rng = np.random.default_rng(seed)
+    assert not np.array_equal(world.obs_ids, np.arange(world.support_size))
+    for _ in range(20):
+        model = CandidateModel(world, rng.permutation(world.support_size))
+        assert np.array_equal(round_trip(world, model), world.support)
 
 
 def test_matched_report_contents(world22):
-    rows = matched_report(world22, [spec("share-pairing", 1), spec("share-pairing", 2)])
-    assert len(rows) == 4
-    for row in rows:
-        assert sorted(row) == ["facts", "mig", "perm", "specs"]
-        assert row["mig"] == [1.0, 1.0]
-        assert "D{1}" in row["facts"] and "D{2}" in row["facts"]
+    """Complete share pairing leaves the four per-coordinate relabelings,
+    each disentangled on both factors with a full information gap."""
+    perms = learner.matched_perms(world22, [spec("share-pairing", 1), spec("share-pairing", 2)])
+    assert len(perms) == 4
+    assert generator_holds(world22, perms, [Fact("D", IndexSet.of([i], 2)) for i in (1, 2)]).all()
+    for perm in perms:
+        assert mig(EvaluationTarget.generator_based(CandidateModel(world22, perm))).per_factor == (1.0, 1.0)
 
 
 def test_matched_report_facts_equal_per_model_holds(world22):
-    rows = matched_report(world22, [spec("restricted-labeling", 1)])
-    assert [row["perm"] for row in rows] == [list(p) for p in matched_perms(world22, [spec("restricted-labeling", 1)])]
-    for row in rows:
-        target = EvaluationTarget.generator_based(CandidateModel(world22, row["perm"]))
-        facts = [Fact(k, IndexSet.of([i], 2)) for i in (1, 2) for k in "CRD"]
-        assert row["facts"] == [f"{f.kind}{f.index_set}" for f in facts if holds(target, f)]
-    assert sum("R{1}" not in row["facts"] for row in rows) == 2
+    """Row i of the batched single-factor verdicts over the matched set
+    equals ``holds`` on the model built from bijection i."""
+    perms = learner.matched_perms(world22, [spec("restricted-labeling", 1)])
+    assert perms.tolist() == [list(p) for p in matched_perms(world22, [spec("restricted-labeling", 1)])]
+    facts = [Fact(k, IndexSet.of([i], 2)) for i in (1, 2) for k in "CRD"]
+    verdicts = generator_holds(world22, perms, facts)
+    for perm, row in zip(perms, verdicts):
+        target = EvaluationTarget.generator_based(CandidateModel(world22, perm))
+        assert row.tolist() == [holds(target, f) for f in facts]
+    assert (~verdicts[:, facts.index(Fact("R", IndexSet.of([1], 2)))]).sum() == 2
 
 
 def test_verify_guarantee_at_enumeration_cap():

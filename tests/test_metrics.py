@@ -1,5 +1,6 @@
 import warnings
 from collections import Counter
+from contextlib import suppress
 from itertools import combinations, permutations
 from math import comb
 
@@ -20,14 +21,13 @@ from disentlab import (
     normalized_restrictiveness,
     random_world,
     raw_consistency,
-    raw_restrictiveness,
     rotation_world,
     schematic_world,
     uniform_world,
 )
 from disentlab import metrics
 from disentlab.metrics import ENCODER_BASED, GENERATOR_BASED
-from disentlab.learner import matched_perms, matched_report
+from disentlab.learner import matched_perms
 from disentlab.verify import battery_specs, check_fact_brute, theorem_battery
 from disentlab.errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 from disentlab.supervision import sample_features
@@ -60,7 +60,8 @@ def brute_encoder_consistency(model, members):
     world = model.base
     cols = [i - 1 for i in sorted(members)]
     probs = {tuple(int(v) for v in t): float(p) for t, p in zip(world.support, world.support_probs)}
-    measured = {s: model.phi_inverse(s) for s in probs}
+    phi = {tuple(int(v) for v in z): tuple(int(v) for v in s) for z, s in zip(model.support, model.mapped)}
+    measured = {s: z for z, s in phi.items()}  # phi^-1: the code of each factor tuple
     key_mass = {}
     for s, p in probs.items():
         k = tuple(s[c] for c in cols)
@@ -83,7 +84,7 @@ def test_identity_model_raw_zero(world22):
     for bits in range(4):
         I = IndexSet(2, bits)
         assert raw_consistency(target, I) == 0.0
-        assert raw_restrictiveness(target, I) == 0.0
+        assert raw_consistency(target, ~I) == 0.0
 
 
 def test_consistent_not_restrictive_raw_values():
@@ -91,7 +92,7 @@ def test_consistent_not_restrictive_raw_values():
     target = gen_target(model)
     I1 = IndexSet.of([1], 2)
     assert raw_consistency(target, I1) == 0.0
-    assert raw_restrictiveness(target, I1) == 0.5
+    assert raw_consistency(target, ~I1) == 0.5  # raw R({1})
 
 
 def test_restrictive_not_consistent_raw_values():
@@ -99,17 +100,22 @@ def test_restrictive_not_consistent_raw_values():
     target = gen_target(model)
     I1 = IndexSet.of([1], 2)
     assert raw_consistency(target, I1) == 0.5
-    assert raw_restrictiveness(target, I1) == 0.0
+    assert raw_consistency(target, ~I1) == 0.0  # raw R({1})
 
 
 def test_complement_identity_exact():
+    """Raw R(I) is the raw consistency of ~I: the restrictiveness score's
+    numerator and the R verdict both read ~I."""
     for seed in range(30):
         _, model = random_pair(seed)
         target = gen_target(model)
         n = model.n
         for bits in range(1 << n):
             I = IndexSet(n, bits)
-            assert raw_restrictiveness(target, I) == raw_consistency(target, I.complement())
+            raw_r = raw_consistency(target, ~I)
+            with suppress(DegenerateDenominator):
+                assert normalized_restrictiveness(target, I).numerator == raw_r
+            assert holds(target, Fact("R", I)) == (raw_r <= metrics.EXACT_TOL)
 
 
 def test_arity_mismatch_rejected(world22, xor_model):
@@ -441,8 +447,11 @@ def test_verdicts_read_each_distinct_set_once(monkeypatch):
 
 
 def test_matched_report_reads_two_sets_on_two_factors(world22, monkeypatch):
+    """Every single-factor C/R/D verdict of a matched set on two factors
+    comes from one engine call over the two singletons."""
+    perms = matched_perms(world22, [SupervisionSpec("restricted-labeling", (1,))])
     calls = _recording_engine(monkeypatch)
-    matched_report(world22, [SupervisionSpec("restricted-labeling", (1,))])
+    metrics.generator_holds(world22, perms, [Fact(k, IndexSet.of([i], 2)) for i in (1, 2) for k in "CRD"])
     assert calls == [[IndexSet.of([1], 2), IndexSet.of([2], 2)]]
 
 

@@ -26,7 +26,7 @@ from disentlab import (
     zigzag_guard,
 )
 from disentlab import verify
-from disentlab.errors import MetricError, SupportTooLarge
+from disentlab.errors import ArityMismatch, MetricError, SupportTooLarge
 from disentlab.metrics import EXACT_TOL, MatchCheckResult, MigReport
 from disentlab.worlds import DEFAULT_SUPPORT_CAP
 from reference_calculus import reference_closure, reference_zigzag_guard
@@ -266,5 +266,5 @@ def test_nuisance_guarantee_small_world():
 
 
 def test_nuisance_guarantee_requires_all_but_last():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArityMismatch):
         check_nuisance_guarantee(uniform_world((2, 2)), supervised=2)

@@ -58,29 +58,7 @@ def test_arity_mismatch():
         DiscreteWorld((2, 2), [0.25] * 4, [0, 1, 2, 3], ordered=[True])
 
 
-# -- conditional --------------------------------------------------------------
-
-
-def test_conditional_independent_uniform(world22):
-    values, probs = world22.conditional(IndexSet.of([1], 2), (0,))
-    assert values.tolist() == [[0], [1]]
-    assert np.allclose(probs, [0.5, 0.5])
-
-
-def test_conditional_degenerate_support():
-    prior = np.zeros((2, 2))
-    prior[0, 0] = prior[1, 1] = 0.5
-    w = DiscreteWorld((2, 2), prior, [[0, -1], [-1, 1]])
-    values, probs = w.conditional(IndexSet.of([2], 2), (1,))
-    assert values.tolist() == [[1]] and probs.tolist() == [1.0]
-
-
-def test_conditional_zero_mass_raises():
-    prior = np.zeros((2, 2))
-    prior[0, 0] = prior[1, 1] = 0.5
-    w = DiscreteWorld((2, 2), prior, [[0, -1], [-1, 1]])
-    with pytest.raises(ZeroMassConditioning):
-        w.conditional(IndexSet.of([1, 2], 2), (0, 1))
+# -- conditional resampling ----------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -317,22 +295,22 @@ def test_pushforward_observation_distribution_matches():
             obs_world[w.generate(t)] = obs_world.get(w.generate(t), 0.0) + float(p)
         obs_model = {}
         for r in range(model.support_size):
-            x = model.apply_gen(tuple(int(v) for v in model.support[r]))
+            x = w.generate(model.mapped[r])  # g = g* . phi on latent support row r
             obs_model[x] = obs_model.get(x, 0.0) + float(model.probs[r])
         assert set(obs_world) == set(obs_model)
         assert all(abs(obs_world[k] - obs_model[k]) <= 1e-12 for k in obs_world)
 
 
 def test_candidate_encoder_inverts_generator(world22, xor_model):
-    for t in world22.support:
-        z = tuple(int(v) for v in t)
-        assert xor_model.apply_enc(xor_model.apply_gen(z)) == z
+    # e = phi^-1 . e* undoes g: the latent row is read off the inverse bijection
+    x = xor_model.observe(xor_model.support)
+    assert np.array_equal(xor_model.support[xor_model.inv_perm[world22.encode_rows(x)]], xor_model.support)
 
 
 def test_identity_candidate(world22):
     model = CandidateModel.identity(world22)
-    assert model.phi((1, 0)) == (1, 0)
-    assert model.apply_gen((1, 0)) == world22.generate((1, 0))
+    assert model.mapped[world22.row_of((1, 0))].tolist() == [1, 0]
+    assert model.observe(np.array([[1, 0]])).tolist() == [world22.generate((1, 0))]
 
 
 @pytest.mark.parametrize(
@@ -373,7 +351,7 @@ def test_candidate_observe_equals_per_row_apply_gen(corr):
         world = random_world(int(rng.integers(2**31)), n, cards, corr)
         model = CandidateModel(world, rng.permutation(world.support_size))
         z = model.sample_latents(rng, 50)
-        expected = [model.apply_gen(tuple(int(v) for v in row)) for row in z]
+        expected = [world.generate(tuple(model.mapped[world.row_of(row)])) for row in z]
         assert model.observe(z).tolist() == expected
 
 
