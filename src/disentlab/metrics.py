@@ -456,8 +456,13 @@ def _structured_mi(joint: np.ndarray, h_col: float) -> float:
 
 
 def _equal_mass_bins(values: np.ndarray, bins: int) -> np.ndarray:
-    edges = np.quantile(values, np.arange(1, bins) / bins)
-    return np.searchsorted(edges, values, side="right")
+    """The number of equal-mass quantile edges at or below each value:
+    ``searchsorted(edges, values, "right")`` for finite values, but one
+    comparison pass per edge beats a binary search per value here."""
+    ids = np.zeros(len(values), dtype=np.intp)
+    for edge in np.quantile(values, np.arange(1, bins) / bins):
+        ids += values >= edge
+    return ids
 
 
 # -- Monte-Carlo distribution matching ----------------------------------------------------

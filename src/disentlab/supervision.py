@@ -10,7 +10,9 @@ set, i.e. share its complement) and canonicalize accordingly.
 Exact tables (discrete worlds) are dense arrays over oracle support rows,
 built by one array function that the learner shares; one record builder
 draws i.i.d. records of the same processes, for the continuous family
-too, as record tuples, feature matrices or dataset lines.
+too, as record tuples, feature matrices or dataset lines.  Dataset lines
+are formatted from those columns, byte for byte what ``json.dumps`` gives
+per record, and read back one JSON document per line.
 """
 
 from __future__ import annotations
@@ -265,9 +267,12 @@ def sample_features(obj, spec: SupervisionSpec, rng: np.random.Generator, count:
 
 
 def write_dataset(path, obj, spec: SupervisionSpec, seed: int, count: int):
-    """Write a header line plus one JSON record per line."""
+    """Write a header line plus one JSON record per line, formatted from the
+    record columns through one template per kind.  ``str`` of an int, a
+    finite float or a list of them is what ``json.dumps`` writes, and the
+    samplers draw ints and finite floats (disk angles and points) only."""
     kind, I = spec.validate_for(obj)
-    records = sample_records(obj, spec, seed, count)
+    columns = _record_columns(obj, spec, np.random.default_rng(seed), count)
     header = {
         "format": DATASET_FORMAT,
         "version": 1,
@@ -277,22 +282,33 @@ def write_dataset(path, obj, spec: SupervisionSpec, seed: int, count: int):
         "seed": seed,
         "count": count,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for rec in records:
-            fh.write(json.dumps(_record_doc(kind, I, rec)) + "\n")
-
-
-def _record_doc(kind: str, I: IndexSet, rec: tuple) -> dict:
-    doc = dict(zip(_FIELDS[kind], rec))
+    fields = [f'"{name}": %s' for name in _FIELDS[kind]]
     if kind == MATCH_PAIRING:
-        doc["shared"] = list(I.members())
-    return doc
+        fields.append(f'"shared": {json.dumps(list(I.members()))}')
+    template = "{" + ", ".join(fields) + "}\n"
+    lines = [template % rec for rec in zip(*(c.tolist() for c in columns))]
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header) + "\n" + "".join(lines))
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str):
+    """``json.loads(line)``: the same value, or the same error.  The raw
+    decoder is its fast path for lines with no surrounding whitespace."""
+    try:
+        doc, end = _decode(line)
+        if end == len(line):
+            return doc
+    except ValueError:
+        pass
+    return json.loads(line)
 
 
 def read_dataset(path) -> tuple[dict, list[dict]]:
     try:
-        docs = [json.loads(line) for line in Path(path).read_text().splitlines()]
+        docs = [_parse_line(line) for line in Path(path).read_text().splitlines()]
     except ValueError as exc:  # bytes that are not UTF-8, or a line that is not JSON
         raise SupervisionError(f"dataset file {path} is not JSON lines: {exc}") from exc
     if not docs:

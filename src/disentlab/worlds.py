@@ -116,14 +116,6 @@ class DiscreteWorld:
         """g*: factor tuple -> observation id."""
         return int(self.gen[tuple(int(v) for v in factors)])
 
-    def encode(self, obs_id: int) -> tuple[int, ...]:
-        """e* = g*^-1 on the support."""
-        obs_id = int(obs_id)
-        row = int(self.encode_rows([obs_id])[0])
-        if row < 0:
-            raise WorldError(f"observation id {obs_id} not produced by this world")
-        return tuple(int(v) for v in self.support[row])
-
     def encode_rows(self, obs_ids) -> np.ndarray:
         """e* over an array: the support row of each observation id, -1 for
         an id this world does not produce."""

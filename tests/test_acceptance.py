@@ -46,8 +46,11 @@ class Criterion:
         self.budget_s = budget_s
         self.start = time.perf_counter()
 
-    def finish(self, ok, detail=""):
-        elapsed = time.perf_counter() - self.start
+    def finish(self, ok, detail="", elapsed=None):
+        """Check and report; ``elapsed`` bills the criterion a measured time
+        in place of the time since it was created."""
+        if elapsed is None:
+            elapsed = time.perf_counter() - self.start
         status = "PASS" if ok else "FAIL"
         extra = f" ({detail})" if detail else ""
         print(f"ACCEPTANCE {self.number} [{status}] {self.label}{extra} [{elapsed:.1f}s]")
@@ -66,12 +69,14 @@ def _random_pairs(seed, count, n_max=3, card_max=3):
 
 
 def test_criterion_1_and_2_score_bound_and_complement_identity():
-    # about 3x the slowest time measured (1.4-2.3 s alone, 2.2-2.9 s beside
-    # two benchmark processes on 2 CPUs)
+    # each criterion is billed its own part of the shared loop: 0.9-1.2 s
+    # apiece alone on 2 CPUs (2.2-2.9 s together beside two benchmark
+    # processes), so 9 s each leaves room for a loaded host
     c1 = Criterion(1, "normalized scores bounded in [0,1] over 1000 random targets", 9)
     violations = 0
     complement_gap = 0.0
     complement_cases = 0
+    complement_s = 0.0  # criterion 2's share of the shared loop
     scores = 0
     for world, model in _random_pairs(seed=101, count=1000):
         n = world.n
@@ -87,6 +92,7 @@ def test_criterion_1_and_2_score_bound_and_complement_identity():
                     scores += 1
                     if not 0.0 <= rep.score <= 1.0:
                         violations += 1
+            start = time.perf_counter()
             view = target.exact_view()
             for bits in range(1 << n):
                 I = IndexSet(n, bits)
@@ -94,10 +100,19 @@ def test_criterion_1_and_2_score_bound_and_complement_identity():
                 gap = abs(raw_consistency(target, I) - raw_r)
                 complement_gap = max(complement_gap, gap)
                 complement_cases += 1
-    c1.finish(violations == 0 and scores >= 1000, f"{scores} scores, {violations} out of bounds")
+            complement_s += time.perf_counter() - start
+    c1.finish(
+        violations == 0 and scores >= 1000,
+        f"{scores} scores, {violations} out of bounds",
+        elapsed=time.perf_counter() - c1.start - complement_s,
+    )
 
     c2 = Criterion(2, "complement identity raw_c(I) = raw_r(~I) within 1e-12", 9)
-    c2.finish(complement_gap <= 1e-12, f"{complement_cases} cases, max gap {complement_gap:.2e}")
+    c2.finish(
+        complement_gap <= 1e-12,
+        f"{complement_cases} cases, max gap {complement_gap:.2e}",
+        elapsed=complement_s,
+    )
 
 
 def test_criterion_3_counterexample_suite_exact():

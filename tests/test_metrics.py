@@ -561,6 +561,22 @@ def test_mig_mc_binned_on_rotation():
     assert report.per_factor[1] < 0.3 and report.per_factor[2] < 0.3
 
 
+@pytest.mark.parametrize("bins", [1, 2, 4, 20])
+def test_equal_mass_bins_equal_searchsorted_on_ties(bins):
+    """Integer-valued columns put many values exactly on a quantile edge;
+    each value's bin is still the number of edges at or below it."""
+    rng = np.random.default_rng(bins)
+    columns = [rng.integers(0, 5, 4000), rng.integers(0, 3, 4000).astype(float), rng.normal(size=4000),
+               np.zeros(50), np.arange(7.0)]
+    on_edge = 0
+    for values in columns:
+        edges = np.quantile(values, np.arange(1, bins) / bins)
+        got = metrics._equal_mass_bins(values, bins)
+        assert got.dtype == np.intp and got.tolist() == np.searchsorted(edges, values, side="right").tolist()
+        on_edge += np.isin(values, edges).sum()
+    assert bins == 1 or on_edge > 1000
+
+
 # -- distribution-match test ----------------------------------------------------------------------
 
 

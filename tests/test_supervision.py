@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from itertools import permutations
@@ -11,7 +12,9 @@ from disentlab import (
     SupervisionSpec,
     augmented_table,
     random_world,
+    random_world,
     read_dataset,
+    rotation_world,
     sample_records,
     tables_match,
     uniform_world,
@@ -23,7 +26,7 @@ from disentlab.errors import (
     SupervisionError,
     UnorderedFactorForRank,
 )
-from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, row_keys, sample_features
+from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, RESTRICTED_LABELING, row_keys, sample_features
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
 
@@ -217,13 +220,18 @@ def test_sample_empty_stream(world22):
 
 def test_share_samples_share_the_factor(world22):
     records = sample_records(world22, spec("share-pairing", 1), seed=1, count=2000)
-    assert all(world22.encode(x)[0] == world22.encode(x2)[0] for x, x2 in records)
+    rows = world22.encode_rows(records)
+    assert (rows >= 0).all()
+    x, x2 = world22.support[rows.T]
+    assert (x[:, 0] == x2[:, 0]).all()
 
 
 def test_rank_samples_satisfy_indicator(world22):
-    records = sample_records(world22, spec("rank-pairing", 2), seed=2, count=2000)
-    for x, x2, y in records:
-        assert y == int(world22.encode(x)[1] >= world22.encode(x2)[1])
+    records = np.array(sample_records(world22, spec("rank-pairing", 2), seed=2, count=2000))
+    rows = world22.encode_rows(records[:, :2])
+    assert (rows >= 0).all()
+    x, x2 = world22.support[rows.T]
+    assert (records[:, 2] == (x[:, 1] >= x2[:, 1])).all()
 
 
 def test_sampling_deterministic_in_seed(world22):
@@ -283,12 +291,78 @@ def test_dataset_rejects_foreign_file(tmp_path):
         read_dataset(path)
 
 
+HEADER = b'{"format": "disentlab-dataset"}\n'
+
+
 @pytest.mark.parametrize(
-    "data", [b"[1, 2]\n", b"not json\n", b'{"format": "disentlab-dataset"}\n{"x": 1\n', b"\xff\xfe\n"],
-    ids=["header-array", "header-not-json", "record-not-json", "not-utf8"],
+    "data",
+    [
+        b"[1, 2]\n",
+        b"not json\n",
+        HEADER + b'{"x": 1\n',
+        b"\xff\xfe\n",
+        HEADER + b"[1\n2]\n3, 4\n",  # joined, the lines would parse as one array
+        HEADER + b'{"x": 1} x\n',
+        HEADER + b"\n",
+    ],
+    ids=["header-array", "header-not-json", "record-not-json", "not-utf8",
+         "records-only-valid-joined", "record-trailing-garbage", "record-empty"],
 )
 def test_dataset_rejects_malformed_lines(tmp_path, data):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(data)
     with pytest.raises(SupervisionError, match="bad.jsonl"):
         read_dataset(path)
+
+
+def test_dataset_lines_padded_with_spaces_read_as_json(tmp_path, world22):
+    path = tmp_path / "d.jsonl"
+    write_dataset(path, world22, spec("restricted-labeling", 1, 2), seed=6, count=30)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(f"  {line} \n" for line in lines))
+    header, records = read_dataset(path)
+    assert [header, *records] == [json.loads(line) for line in lines]
+
+
+def reference_dataset(obj, s, seed, count) -> bytes:
+    """The dataset file written with one ``json.dumps`` per record."""
+    kind, I = s.validate_for(obj)
+    header = {
+        "format": "disentlab-dataset",
+        "version": 1,
+        "spec": s.to_string(),
+        "kind": kind,
+        "index_set": list(I.members()),
+        "seed": seed,
+        "count": count,
+    }
+    fields = {RESTRICTED_LABELING: ("x", "s_I"), MATCH_PAIRING: ("x", "x2"), RANK_PAIRING: ("x", "x2", "y")}[kind]
+    docs = [header]
+    for rec in sample_records(obj, s, seed, count):
+        doc = dict(zip(fields, rec))
+        if kind == MATCH_PAIRING:
+            doc["shared"] = list(I.members())
+        docs.append(doc)
+    return "".join(json.dumps(doc) + "\n" for doc in docs).encode()
+
+
+def dataset_objects():
+    world = random_world(7, 3, [2, 3, 2], 0.5)
+    oracle, rot = rotation_world()
+    return {
+        "world": world,
+        "model": CandidateModel(world, np.random.default_rng(7).permutation(world.support_size)),
+        "oracle": oracle,
+        "rot": rot,
+    }
+
+
+@pytest.mark.parametrize("count", [0, 1, 2000])
+@pytest.mark.parametrize("name", ["world", "model", "oracle", "rot"])
+def test_dataset_bytes_equal_per_record_json(tmp_path, name, count):
+    obj = dataset_objects()[name]
+    path = tmp_path / "d.jsonl"
+    for s in (spec("restricted-labeling", 1, 3), spec("share-pairing", 2), spec("change-pairing", 1),
+              spec("match-pairing"), spec("rank-pairing", 2)):
+        write_dataset(path, obj, s, seed=9, count=count)
+        assert path.read_bytes() == reference_dataset(obj, s, 9, count), s.to_string()
