@@ -241,17 +241,10 @@ def raw_consistency(target: EvaluationTarget, I: IndexSet) -> float:
 # -- Monte-Carlo engine ------------------------------------------------------------
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    sizes = [MC_CHUNK] * (total // MC_CHUNK)
-    if total % MC_CHUNK:
-        sizes.append(total % MC_CHUNK)
-    return sizes
-
-
 def _run_chunks(fn, total: int, seq: np.random.SeedSequence) -> np.ndarray:
     """Evaluate fn(rng, size) over fixed-size chunks with per-chunk derived
     seeds, so a result does not depend on how the chunks are scheduled."""
-    sizes = _chunk_sizes(total)
+    sizes = [min(MC_CHUNK, total - lo) for lo in range(0, total, MC_CHUNK)]
     seeds = seq.spawn(len(sizes))
     parts = [fn(np.random.default_rng(s), size) for s, size in zip(seeds, sizes)]
     return np.concatenate(parts) if parts else np.empty(0)
@@ -287,16 +280,11 @@ def _mc_pairs(target, I: IndexSet, samples: int):
     return num_chunk, den_chunk
 
 
-def _mc_seeds(seed) -> list[np.random.SeedSequence]:
-    """(conditional-pair seed, i.i.d.-pair seed): the first and second child
-    of the seed's SeedSequence."""
-    return np.random.SeedSequence(seed).spawn(2)
-
-
 def _mc_deviations(target, I: IndexSet, samples: int, seed):
-    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample."""
+    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample,
+    from the first and second child of the seed's SeedSequence."""
     num_chunk, den_chunk = _mc_pairs(target, I, samples)
-    seq_num, seq_den = _mc_seeds(seed)
+    seq_num, seq_den = np.random.SeedSequence(seed).spawn(2)
     return _run_chunks(num_chunk, samples, seq_num), _run_chunks(den_chunk, samples, seq_den)
 
 
@@ -375,9 +363,10 @@ def holds(
     def raw(sets) -> np.ndarray:
         if mode == "exact":
             return _exact_stats(*target.exact_view(), sets)[0]
-        # the conditional pairs of _mc_deviations alone
+        # the conditional pairs of _mc_deviations alone, each set from its own spawn
         chunks = [_mc_pairs(target, J, samples)[0] for J in sets]
-        return np.array([_run_chunks(c, samples, _mc_seeds(seed)[0]).mean() for c in chunks])
+        return np.array([_run_chunks(c, samples, np.random.SeedSequence(seed).spawn(2)[0]).mean()
+                         for c in chunks])
 
     return bool(_fact_verdicts(raw, fact, tol))
 
@@ -457,10 +446,11 @@ def _structured_mi(joint: np.ndarray, h_col: float) -> float:
 
 def _equal_mass_bins(values: np.ndarray, bins: int) -> np.ndarray:
     """The number of equal-mass quantile edges at or below each value:
-    ``searchsorted(edges, values, "right")`` for finite values, but one
-    comparison pass per edge beats a binary search per value here."""
+    ``searchsorted(edges, values, "right")`` for finite values.  One
+    comparison pass per edge beats a binary search per value; quantiles
+    of a sorted copy, partitioned in place, beat quantiles of the values."""
     ids = np.zeros(len(values), dtype=np.intp)
-    for edge in np.quantile(values, np.arange(1, bins) / bins):
+    for edge in np.quantile(np.sort(values), np.arange(1, bins) / bins, overwrite_input=True):
         ids += values >= edge
     return ids
 
@@ -493,10 +483,10 @@ def mc_match_check(
     and compared by the squared difference of cell frequencies; the pass
     threshold is the 0.99 quantile of 200 draws from the permutation null,
     a test at significance level 0.01.  The statistic depends only on cell
-    counts, so a random permutation of the pooled records is drawn as what
-    it does to them: a multivariate hypergeometric split of the pooled
-    counts, one split at a time.  The oracle is any disk-rotation world,
-    the rotation candidate included; the test is symmetric in its samples.
+    counts, so a random permutation of the pooled records is drawn as the
+    split of the pooled counts it makes, exactly, in blocks of draws (see
+    ``_null_blocks``).  The oracle is any disk-rotation world, the rotation
+    candidate included; the test is symmetric in its samples.
     """
     if not isinstance(oracle, DiskRotationWorld):
         raise MetricError("mc_match_check compares samplers of a continuous world")
@@ -511,9 +501,9 @@ def mc_match_check(
     occupied = counts > 0
     first, counts = first[occupied], counts[occupied]
 
-    stat = _split_stat(first, counts, samples)
+    stat = float(_split_stat(first, counts, samples))
     rng = np.random.default_rng(seq[2])
-    null = np.array([_split_stat(x, counts, samples) for x in _null_splits(rng, counts, samples, 200)])
+    null = np.concatenate([_split_stat(x, counts, samples) for x in _null_blocks(rng, counts, samples, 200)])
     threshold = float(np.quantile(null, 0.99))
     p_value = float((1 + (null >= stat).sum()) / (len(null) + 1))
     return MatchCheckResult(bool(stat <= threshold), stat, threshold, p_value, samples, seed)
@@ -528,15 +518,45 @@ def _grid_cells(a: np.ndarray, b: np.ndarray, bins_per_dim: int):
     return ids[:len(a)], ids[len(a):], bins_per_dim ** pooled.shape[1]
 
 
-def _null_splits(rng, counts: np.ndarray, half: int, draws: int):
+_NULL_BLOCK_WORDS = 1 << 12  # random words per block of whole null draws: under about 0.5 MB of arrays
+
+
+def _null_blocks(rng, counts: np.ndarray, half: int, draws: int):
     """First-half cell counts of ``draws`` uniformly random splits of the
-    pooled records (cell counts ``counts``) into two halves of ``half``,
-    drawn one at a time so no (draws, cells) array is held."""
-    for _ in range(draws):
-        yield rng.multivariate_hypergeometric(counts, half, method="marginals")
+    pooled records (positive cell counts ``counts``) with ``half`` first, as
+    (draws, cells) blocks.  A fair coin per record (a popcount of the cell's
+    random bits, its last word masked) picks a uniform subset given its size
+    K; |K - half| records drawn uniformly from the side that holds too many
+    then cross over, so the counts are exactly multivariate hypergeometric."""
+    words = -(-counts // 64)
+    starts = np.cumsum(words) - words
+    mask = np.full(words.sum(), ~np.uint64(0))
+    mask[starts + words - 1] >>= (64 * words - counts).astype(np.uint64)
+    step = max(1, _NULL_BLOCK_WORDS // len(mask))
+    for done in range(0, draws, step):
+        bits = rng.integers(2**64, size=(min(step, draws - done), len(mask)), dtype=np.uint64) & mask
+        first = np.add.reduceat(np.bitwise_count(bits), starts, axis=1, dtype=np.int64)
+        excess = first.sum(axis=1) - half
+        pool = np.where(excess[:, None] > 0, first, counts - first)
+        ends = np.cumsum(pool)
+        size = np.repeat(pool.sum(axis=1), np.abs(excess))
+        base = np.repeat(ends[len(counts) - 1::len(counts)], np.abs(excess)) - size
+        # Sorting keeps each pick in its row's slots; a pick equal to another is
+        # drawn again, a rule that only compares picks and so favours no record.
+        picks, again = np.empty(len(size), dtype=np.int64), np.arange(len(size))
+        while len(again):
+            picks[again] = base[again] + rng.integers(size[again])
+            picks.sort()
+            again = np.flatnonzero(picks[1:] == picks[:-1]) + 1
+        moved = np.bincount(np.searchsorted(ends, picks, side="right"), minlength=pool.size)
+        yield first - np.sign(excess)[:, None] * moved.reshape(pool.shape)
 
 
-def _split_stat(first: np.ndarray, counts: np.ndarray, half: int) -> float:
-    """Squared distance between the cell frequencies of the two halves,
-    from the first half's counts and the pooled counts."""
-    return float((((2 * first - counts) / half) ** 2).sum())
+def _null_splits(rng, counts: np.ndarray, half: int, draws: int):
+    """The draws of ``_null_blocks`` one at a time."""
+    return (row for block in _null_blocks(rng, counts, half, draws) for row in block)
+
+
+def _split_stat(first: np.ndarray, counts: np.ndarray, half: int):
+    """Squared distance between the two halves' cell frequencies, per row of ``first``."""
+    return (((2 * first - counts) / half) ** 2).sum(axis=-1)

@@ -86,6 +86,16 @@ DATASET_GOLDEN = {
     "world/share:1": "85625842b7233043",
 }
 
+# Two-sample statistics of the rotation candidate against its oracle (seed 0,
+# 20k samples), captured before the permutation null was drawn from fair
+# coins: the statistic reads the samples and the grid, never the null draw.
+MATCH_STAT_GOLDEN = {
+    "label:1": "0x1.08abcb1f78964p-13",
+    "share:1": "0x1.b65e2071ba827p-14",
+    "label:2": "0x1.eff733d397166p-7",
+    "share:2": "0x1.157d6ab9dd30fp-10",
+}
+
 SPECS = ("label:1,2", "share:1", "change:2", "rank:2")
 
 
@@ -153,3 +163,12 @@ def test_soundness_sweep_golden():
     report = verify.soundness_sweep(seed=3, trials=40)
     assert report.facts_checked == 200 and report.violations == []
     assert digest(json.dumps(report.to_dict(), sort_keys=True).encode()) == "3a0e0cc8c093e75b"
+
+
+@pytest.mark.parametrize("text", sorted(MATCH_STAT_GOLDEN))
+def test_match_statistics_golden(text):
+    oracle, rot = rotation_world()
+    spec = SupervisionSpec.parse(text)
+    result = metrics.mc_match_check(rot, oracle, spec, seed=0, samples=20000)
+    assert result.statistic.hex() == MATCH_STAT_GOLDEN[text]
+    assert metrics.mc_match_check(rot, oracle, spec, seed=0, samples=20000) == result

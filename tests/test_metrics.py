@@ -1,8 +1,8 @@
 import warnings
 from collections import Counter
 from contextlib import suppress
-from itertools import combinations, permutations
-from math import comb
+from itertools import combinations, permutations, product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -655,6 +655,93 @@ def test_null_splits_follow_the_listed_pmf():
     for split, ways in pmf.items():
         p = ways / comb(8, 4)
         assert abs(freq[split] / draws - p) <= 4.5 * np.sqrt(p * (1 - p) / draws), (split, freq[split], p)
+
+
+def product_of_binomials_pmf(counts, half):
+    """Exact pmf of the first-half cell counts of a uniform split of the
+    pooled records: prod_i C(c_i, x_i) / C(total, half), over every
+    x with 0 <= x_i <= c_i summing to half."""
+    pmf = {}
+    for head in product(*(range(c + 1) for c in counts[:-1])):
+        last = half - sum(head)
+        if 0 <= last <= counts[-1]:
+            x = (*head, last)
+            pmf[x] = prod(comb(c, k) for c, k in zip(counts, x)) / comb(sum(counts), half)
+    return pmf
+
+
+@pytest.mark.parametrize(
+    "counts, half",
+    [((70, 64, 63), 98), ((70, 64, 63), 60), ((70, 64, 63), 140), ((3, 4, 1), 3), ((129, 1, 2), 70)],
+    ids=["both-ways", "first-too-large", "first-too-small", "small-uneven", "three-words"],
+)
+def test_null_splits_follow_the_product_of_binomials_pmf(counts, half):
+    """Cells of 70, 64 and 63 records end on a masked, a full and a
+    one-bit-short word.  With 197 records the coins' first-half size K falls
+    on both sides of 98; it is above 60 and below 140 in every draw, so
+    records move back (60) or over (140) on each one.  Each outcome with at
+    least 20 expected hits is within 4.5 standard errors of its pmf, and so
+    is each cell's count, against the pmf summed over the other cells."""
+    pmf = product_of_binomials_pmf(counts, half)
+    draws = 40000
+    splits = metrics._null_splits(np.random.default_rng(half), np.array(counts), half, draws)
+    freq = Counter(tuple(x.tolist()) for x in splits)
+    assert sum(freq.values()) == draws and set(freq) <= set(pmf)
+    outcomes = [(pmf, freq)]
+    for i in range(len(counts)):
+        marginal, hits = Counter(), Counter()
+        for split, p in pmf.items():
+            marginal[split[i]] += p
+            hits[split[i]] += freq[split]
+        outcomes.append((marginal, hits))
+    checked = 0
+    for law, hits in outcomes:
+        for value, p in law.items():
+            if p * draws >= 20:
+                assert abs(hits[value] / draws - p) <= 4.5 * np.sqrt(p * (1 - p) / draws), (value, hits[value], p)
+                checked += 1
+    assert checked >= 10
+
+
+def test_null_splits_moments_equal_numpy_hypergeometric():
+    """Per-cell mean and variance over 4,000 draws match numpy's
+    scalar-per-cell multivariate hypergeometric draw, within 4.5 standard
+    errors, on 65 cells (some at the 64-bit word edges) and a first half of
+    40% of the records."""
+    rng = np.random.default_rng(3)
+    counts = np.concatenate([rng.integers(1, 200, 60), [63, 64, 65, 128, 129]])
+    half, draws = int(0.4 * counts.sum()), 4000
+    got = np.array(list(metrics._null_splits(np.random.default_rng(0), counts, half, draws)))
+    ref_rng = np.random.default_rng(1)
+    ref = np.array([ref_rng.multivariate_hypergeometric(counts, half, method="marginals") for _ in range(draws)])
+    assert np.all(got.sum(axis=1) == half)
+    var_got, var_ref = got.var(axis=0, ddof=1), ref.var(axis=0, ddof=1)
+    assert np.all(np.abs(got.mean(axis=0) - ref.mean(axis=0)) <= 4.5 * np.sqrt((var_got + var_ref) / draws))
+    assert np.all(np.abs(var_got / var_ref - 1) <= 4.5 * np.sqrt(4 / draws))
+
+
+@pytest.mark.parametrize("count, half", [(5, 0), (5, 3), (5, 5), (64, 32), (65, 64), (130, 65)])
+def test_null_splits_on_one_cell_are_forced(count, half):
+    splits = list(metrics._null_splits(np.random.default_rng(0), np.array([count]), half, 30))
+    assert len(splits) == 30 and all(x.tolist() == [half] for x in splits)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("spec", ["label:1", "share:2"])
+def test_match_check_at_one_and_two_samples(samples, spec):
+    """2 or 4 pooled records: the coins' size misses half by at most 2."""
+    oracle, cand = rotation_world()
+    for seed in range(5):
+        res = mc_match_check(cand, oracle, SupervisionSpec.parse(spec), seed=seed, samples=samples)
+        assert np.isfinite(res.statistic) and np.isfinite(res.threshold) and 0.0 < res.p_value <= 1.0
+
+
+def test_match_check_on_one_occupied_cell(monkeypatch):
+    """Equal features put every record in one cell: each split is forced."""
+    oracle, cand = rotation_world()
+    monkeypatch.setattr(metrics, "sample_features", lambda obj, spec, rng, n: np.zeros((n, 3)))
+    res = mc_match_check(cand, oracle, SupervisionSpec("share-pairing", (2,)), seed=0, samples=100)
+    assert (res.passed, res.statistic, res.threshold, res.p_value) == (True, 0.0, 0.0, 1.0)
 
 
 # -- reports --------------------------------------------------------------------------------------
