@@ -6,7 +6,7 @@ and an exhaustive distribution-matching learner, all cross-checked by
 independent brute-force oracles.
 """
 
-from .calculus import Fact, FactSet, closure, derive, entails, nuisance_closure, parse_fact, parse_facts, plan_supervision
+from .calculus import Fact, FactSet, closure, derive, entails, nuisance_closure, parse_facts, plan_supervision
 from .continuous import DiskRotationWorld, RotationCandidate, rotation_world
 from .errors import DisentlabError
 from .indexset import IndexSet

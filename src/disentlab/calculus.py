@@ -164,13 +164,6 @@ class FactSet:
     def __len__(self) -> int:
         return 2 * len(self.family)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FactSet)
-            and (self.n, self.nuisance) == (other.n, other.nuisance)
-            and self.family == other.family
-        )
-
 
 def _generators(fs: FactSet, axioms: Iterable[Fact]) -> list[int]:
     """C-coordinates of the four trivial atoms, then of the axioms."""
@@ -407,10 +400,3 @@ def parse_facts(text: str, n: int, nuisance: bool = False) -> list[Fact]:
             except Exception as exc:
                 raise FactParseError(f"bad fact {part.strip()!r}: {exc}") from exc
     return facts
-
-
-def parse_fact(text: str, n: int, nuisance: bool = False) -> Fact:
-    facts = parse_facts(text, n, nuisance)
-    if len(facts) != 1:
-        raise FactParseError(f"expected exactly one fact, got {len(facts)} in {text!r}")
-    return facts[0]

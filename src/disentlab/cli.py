@@ -191,8 +191,8 @@ def world_inspect(path):
     w = _read_world_file(path)
     click.echo(f"factors: {w.n}  cards: {list(w.cards)}  ordered: {list(w.ordered)}")
     click.echo(f"support size: {w.support_size}")
-    for t, p in zip(w.support, w.support_probs):
-        click.echo(f"  s={tuple(int(v) for v in t)}  p={float(p)!r}  x={w.generate(t)}")
+    for t, p, x in zip(w.support, w.support_probs, w.obs_ids):
+        click.echo(f"  s={tuple(int(v) for v in t)}  p={float(p)!r}  x={x}")
     for i in range(1, w.n + 1):
         click.echo(f"marginal s_{i}: {[round(float(v), 6) for v in w.factor_marginal(i)]}")
     mi = w.pairwise_mi()

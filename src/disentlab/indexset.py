@@ -7,7 +7,7 @@ include one nuisance index, written ``eta`` and stored as index n+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ArityMismatch
 
@@ -57,14 +57,6 @@ class IndexSet:
             bits |= 1 << (i - 1)
         return cls(n, bits, nuisance)
 
-    @classmethod
-    def empty(cls, n: int, nuisance: bool = False) -> "IndexSet":
-        return cls(n, 0, nuisance)
-
-    @classmethod
-    def full(cls, n: int, nuisance: bool = False) -> "IndexSet":
-        return cls(n, (1 << (n + (1 if nuisance else 0))) - 1, nuisance)
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -86,18 +78,6 @@ class IndexSet:
         """0-based column positions, for array indexing."""
         return [i for i in range(self.universe_size) if self.bits >> i & 1]
 
-    def has_eta(self) -> bool:
-        return self.nuisance and bool(self.bits >> self.n & 1)
-
-    def __contains__(self, index: int) -> bool:
-        return 1 <= index <= self.universe_size and bool(self.bits >> (index - 1) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
-
-    def __len__(self) -> int:
-        return bin(self.bits).count("1")
-
     # -- algebra -----------------------------------------------------------
 
     def _check_same_universe(self, other: "IndexSet"):
@@ -111,19 +91,10 @@ class IndexSet:
         self._check_same_universe(other)
         return IndexSet(self.n, self.bits | other.bits, self.nuisance)
 
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        self._check_same_universe(other)
-        return IndexSet(self.n, self.bits & other.bits, self.nuisance)
-
     def complement(self) -> "IndexSet":
         return IndexSet(self.n, self.bits ^ self._mask(), self.nuisance)
 
-    def issubset(self, other: "IndexSet") -> bool:
-        self._check_same_universe(other)
-        return self.bits & ~other.bits == 0
-
     __or__ = union
-    __and__ = intersection
     __invert__ = complement
 
     # -- rendering ---------------------------------------------------------

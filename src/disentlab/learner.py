@@ -67,14 +67,6 @@ MAX_ENUM_SUPPORT = 8  # 8! = 40320 bijections
 LEAF_CHUNK = 512  # leaves per vectorised leaf check: at most 512 m^2 floats per array
 
 
-def _as_spec_list(specs) -> list[SupervisionSpec]:
-    if specs is None:
-        return []
-    if isinstance(specs, SupervisionSpec):
-        return [specs]
-    return list(specs)
-
-
 def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec]):
     """Row and pair conditions of the search, plus the match-pairing
     kernels its leaves are checked against.
@@ -140,12 +132,12 @@ def _check_support_cap(world: DiscreteWorld) -> None:
         raise SupportTooLarge(f"support {m} exceeds enumeration cap {MAX_ENUM_SUPPORT}")
 
 
-def matched_perms(world: DiscreteWorld, specs=None) -> np.ndarray:
+def matched_perms(world: DiscreteWorld, specs: list[SupervisionSpec]) -> np.ndarray:
     """The matched set as one (k, m) array of support bijections in
     ``itertools.permutations`` order, row i being the bijection of
     ``enumerate_matched(...)[i]``; no model is built."""
     _check_support_cap(world)
-    allowed, pairs, kernels = _constraints(world, _as_spec_list(specs))
+    allowed, pairs, kernels = _constraints(world, specs)
     leaves = _bijections(allowed, pairs)
     if not kernels:
         return leaves
@@ -154,7 +146,7 @@ def matched_perms(world: DiscreteWorld, specs=None) -> np.ndarray:
     return np.concatenate([leaves[:0], *chunks])
 
 
-def enumerate_matched(world: DiscreteWorld, specs=None) -> list[CandidateModel]:
+def enumerate_matched(world: DiscreteWorld, specs: list[SupervisionSpec]) -> list[CandidateModel]:
     """All support bijections whose augmented tables equal the oracle's, as
     candidate models in ``itertools.permutations`` order.
 

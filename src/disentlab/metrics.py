@@ -145,8 +145,10 @@ def _pair_layout(shape: tuple, data: bytes, cards: tuple, sets: tuple) -> tuple:
     slots of the marginal, the sets with columns and their first pairs."""
     for I in (I for I in sets if I.n != shape[1] or I.nuisance):
         raise ArityMismatch(f"index set {I!r} does not match target arity {shape[1]}")
-    set_cols = [I.cols() for I in sets]
-    ids, counts = group_ids(np.frombuffer(data, dtype=np.int64).reshape(shape), set_cols, cards)
+    support, set_cols = np.frombuffer(data, dtype=np.int64).reshape(shape), [I.cols() for I in sets]
+    grouped = [group_ids(support, cols, cards) for cols in set_cols]
+    ids = np.array([g for g, _ in grouped], dtype=np.int64).reshape(-1, shape[0])
+    counts = np.array([k for _, k in grouped], dtype=np.int64)
     pairs = [(s, c) for s, cols in enumerate(set_cols) for c in cols]
     pair_set, col = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     card, groups = np.asarray(cards, dtype=np.int64)[col], counts[pair_set]
@@ -550,11 +552,6 @@ def _null_blocks(rng, counts: np.ndarray, half: int, draws: int):
             again = np.flatnonzero(picks[1:] == picks[:-1]) + 1
         moved = np.bincount(np.searchsorted(ends, picks, side="right"), minlength=pool.size)
         yield first - np.sign(excess)[:, None] * moved.reshape(pool.shape)
-
-
-def _null_splits(rng, counts: np.ndarray, half: int, draws: int):
-    """The draws of ``_null_blocks`` one at a time."""
-    return (row for block in _null_blocks(rng, counts, half, draws) for row in block)
 
 
 def _split_stat(first: np.ndarray, counts: np.ndarray, half: int):

@@ -169,7 +169,7 @@ def row_keys(world: DiscreteWorld, kind: str, cols) -> tuple[np.ndarray, np.ndar
     support = world.support
     if kind == RANK_PAIRING:
         return support[:, cols[0]], None
-    (gid,), (count,) = group_ids(support, [cols], world.cards)
+    gid, count = group_ids(support, cols, world.cards)
     labels = np.empty((count, len(cols)), dtype=support.dtype)
     labels[gid] = support[:, cols]
     return gid, labels

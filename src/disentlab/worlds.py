@@ -96,10 +96,6 @@ class DiscreteWorld:
     def support_size(self) -> int:
         return len(self.support)
 
-    def row_of(self, factors: Sequence[int]) -> int:
-        """Support row of one factor tuple; ZeroMassConditioning off the support."""
-        return int(self.rows_of(np.asarray([[int(v) for v in factors]]))[0])
-
     def rows_of(self, latents: np.ndarray) -> np.ndarray:
         """Support row of each factor tuple in an (m, n) int array."""
         latents = np.asarray(latents)
@@ -111,10 +107,6 @@ class DiscreteWorld:
         if np.any(rows < 0):
             raise ZeroMassConditioning(f"tuple {tuple(latents[np.argmin(rows)].tolist())} has zero mass")
         return rows
-
-    def generate(self, factors: Sequence[int]) -> int:
-        """g*: factor tuple -> observation id."""
-        return int(self.gen[tuple(int(v) for v in factors)])
 
     def encode_rows(self, obs_ids) -> np.ndarray:
         """e* over an array: the support row of each observation id, -1 for
@@ -308,8 +300,7 @@ class CandidateModel:
     @classmethod
     def from_map(cls, world: DiscreteWorld, fn: Callable[[tuple[int, ...]], Sequence[int]]) -> "CandidateModel":
         """Build from an explicit tuple-to-tuple bijection on the support."""
-        perm = [world.row_of(fn(tuple(int(v) for v in t))) for t in world.support]
-        return cls(world, perm)
+        return cls(world, world.rows_of(np.array([fn(tuple(int(v) for v in t)) for t in world.support])))
 
     @property
     def support_size(self) -> int:
@@ -334,26 +325,20 @@ class CandidateModel:
 # -- row grouping -------------------------------------------------------------
 
 
-def group_ids(rows: np.ndarray, col_lists, cards) -> tuple[np.ndarray, np.ndarray]:
-    """((S, rows) group ids, (S,) group counts): the rows grouped by their
-    values on each of S lists of 0-based columns.  A list's ids are the dense
-    rank of a mixed-radix key with digit ``rows[:, c] < cards[c]``, in the
-    lexicographic order of ``np.unique(rows[:, cols], axis=0)``.  A key spans
-    prod(cards[c]) values, no more than the factor grid; one dense rank
-    serves every list, with their key ranges laid end to end."""
-    keys = np.zeros((len(col_lists), len(rows)), dtype=np.int64)
-    bounds = [0]
-    for key, cols in zip(keys, col_lists):
-        for c in cols:
-            key *= int(cards[c])
-            key += rows[:, c]
-        key += bounds[-1]
-        bounds.append(bounds[-1] + prod(int(cards[c]) for c in cols))
-    seen = np.zeros(bounds[-1] + 1, dtype=np.int64)
-    seen[keys + 1] = 1
+def group_ids(rows: np.ndarray, cols, cards) -> tuple[np.ndarray, int]:
+    """(group id per row, group count): the rows grouped by their values on
+    the 0-based columns ``cols``.  Ids are the dense rank of a mixed-radix
+    key with digit ``rows[:, c] < cards[c]``, in the lexicographic order of
+    ``np.unique(rows[:, cols], axis=0)``.  A key spans prod(cards[c]) values,
+    no more than the factor grid."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for c in cols:
+        key *= int(cards[c])
+        key += rows[:, c]
+    seen = np.zeros(prod(int(cards[c]) for c in cols) + 1, dtype=np.int64)
+    seen[key + 1] = 1
     below = np.cumsum(seen)  # below[x]: distinct keys less than x
-    starts = below[bounds]
-    return below[keys] - starts[:-1, None], starts[1:] - starts[:-1]
+    return below[key], int(below[-1])
 
 
 # -- zig-zag connectedness -----------------------------------------------------
@@ -385,8 +370,8 @@ def zigzag_connectivity(support) -> Callable[[int, int], bool]:
     def group_min(bits: int, label: np.ndarray) -> np.ndarray:
         """Each row's least label among the rows sharing its values outside ``bits``."""
         if bits not in groups:
-            groups[bits] = group_ids(support, [[c for c in range(n) if not bits >> c & 1]], radix)
-        (ids,), (count,) = groups[bits]
+            groups[bits] = group_ids(support, [c for c in range(n) if not bits >> c & 1], radix)
+        ids, count = groups[bits]
         low = np.full(count, m)
         np.minimum.at(low, ids, label)
         return low[ids]
@@ -473,7 +458,7 @@ def _resample_table(rng, world: DiscreteWorld, probs, latents, resample_cols) ->
         return latents.copy()
     fixed = [c for c in range(world.n) if c not in resample_cols]
     m = len(support)
-    (ids,), (count,) = group_ids(np.concatenate([support, latents]), [fixed], world.cards)
+    ids, count = group_ids(np.concatenate([support, latents]), fixed, world.cards)
     order = np.argsort(ids, kind="stable")  # per group: its support rows, then its latents
     bounds = np.searchsorted(ids[order], np.arange(count + 1))
     out = np.array(latents)

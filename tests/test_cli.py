@@ -69,6 +69,35 @@ def test_world_inspect(runner, tmp_path):
     assert "support size: 4" in res.output and "pairwise MI" in res.output
 
 
+# a correlated 3x2 world (``world gen --seed 5 --cards 3,2 --corr 1.0``): three
+# support rows out of six, with observation ids 1, 0, 2
+SPARSE_WORLD_DOC = {
+    "version": 1, "n": 2, "cards": [3, 2], "ordered": [True, True],
+    "prior": [0.3665407309466721, 0.0, 0.0, 0.36756143669408664, 0.26589783235924136, 0.0],
+    "gen": [1, -1, -1, 0, 2, -1],
+}
+SPARSE_WORLD_INSPECT = """\
+factors: 2  cards: [3, 2]  ordered: [True, True]
+support size: 3
+  s=(0, 0)  p=0.3665407309466721  x=1
+  s=(1, 1)  p=0.36756143669408664  x=0
+  s=(2, 0)  p=0.26589783235924136  x=2
+marginal s_1: [0.366541, 0.367561, 0.265898]
+marginal s_2: [0.632439, 0.367561]
+pairwise MI (nats):
+  0.000000 0.657645
+  0.657645 0.000000
+"""
+
+
+def test_world_inspect_golden_on_sparse_support(runner, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(SPARSE_WORLD_DOC))
+    res = invoke(runner, "world", "inspect", str(path))
+    assert res.exit_code == 0
+    assert res.output == SPARSE_WORLD_INSPECT
+
+
 def test_dataset_command(runner, tmp_path):
     w = tmp_path / "w.json"
     ds = tmp_path / "d.jsonl"

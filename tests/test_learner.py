@@ -161,8 +161,9 @@ def test_find_violating_model_returns_xor_witness(world22):
         world22, [spec("restricted-labeling", 1)], Fact("R", IndexSet.of([1], 2))
     )
     assert witness is not None
-    assert witness.mapped[world22.row_of((0, 0))].tolist() == [0, 0]
-    assert witness.mapped[world22.row_of((1, 0))].tolist() != [1, 0]
+    rows = world22.rows_of(np.array([[0, 0], [1, 0]]))
+    assert witness.mapped[rows[0]].tolist() == [0, 0]
+    assert witness.mapped[rows[1]].tolist() != [1, 0]
     violators = [
         m
         for m in enumerate_matched(world22, [spec("restricted-labeling", 1)])

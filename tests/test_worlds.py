@@ -33,7 +33,7 @@ from disentlab.worlds import (
 def test_uniform_world_is_valid(world22):
     assert world22.support_size == 4
     assert abs(float(world22.prior.sum()) - 1.0) <= 1e-12
-    ids = [world22.generate(t) for t in world22.support]
+    ids = world22.observe(world22.support)
     assert world22.encode_rows(ids).tolist() == list(range(world22.support_size))
 
 
@@ -128,7 +128,7 @@ def test_zigzag_empty_union_vacuously_true():
     prior = np.zeros((2, 2))
     prior[0, 0] = prior[1, 1] = 0.5
     w = DiscreteWorld((2, 2), prior, [[0, -1], [-1, 1]])
-    E = IndexSet.empty(2)
+    E = IndexSet(2, 0)
     assert zigzag_connected_support(w.support, E, E)
 
 
@@ -152,8 +152,8 @@ def test_zigzag_symmetry_and_fixed_union_monotonicity():
                 for I2 in sets:
                     for J2 in sets:
                         if (
-                            I.issubset(I2)
-                            and J.issubset(J2)
+                            I.bits & ~I2.bits == 0
+                            and J.bits & ~J2.bits == 0
                             and (I2 | J2) == (I | J)
                         ):
                             assert conn[(I2.bits, J2.bits)]
@@ -291,10 +291,11 @@ def test_pushforward_observation_distribution_matches():
         model = CandidateModel(w, rng.permutation(w.support_size))
         obs_world = {}
         for t, p in zip(w.support, w.support_probs):
-            obs_world[w.generate(t)] = obs_world.get(w.generate(t), 0.0) + float(p)
+            x = int(w.gen[tuple(t)])
+            obs_world[x] = obs_world.get(x, 0.0) + float(p)
         obs_model = {}
         for r in range(model.support_size):
-            x = w.generate(model.mapped[r])  # g = g* . phi on latent support row r
+            x = int(w.gen[tuple(model.mapped[r])])  # g = g* . phi on latent support row r
             obs_model[x] = obs_model.get(x, 0.0) + float(model.probs[r])
         assert set(obs_world) == set(obs_model)
         assert all(abs(obs_world[k] - obs_model[k]) <= 1e-12 for k in obs_world)
@@ -308,8 +309,8 @@ def test_candidate_encoder_inverts_generator(world22, xor_model):
 
 def test_identity_candidate(world22):
     model = CandidateModel.identity(world22)
-    assert model.mapped[world22.row_of((1, 0))].tolist() == [1, 0]
-    assert model.observe(np.array([[1, 0]])).tolist() == [world22.generate((1, 0))]
+    assert model.mapped[world22.rows_of(np.array([[1, 0]]))].tolist() == [[1, 0]]
+    assert model.observe(np.array([[1, 0]])).tolist() == [world22.gen[1, 0]]
 
 
 @pytest.mark.parametrize(
@@ -319,22 +320,40 @@ def test_identity_candidate(world22):
 )
 def test_row_of_rejects_tuples_outside_the_factor_space(world22, factors):
     with pytest.raises(ZeroMassConditioning):
-        world22.row_of(factors)  # negative values must not wrap to the last row
+        world22.rows_of(np.array([factors]))  # negative values must not wrap to the last row
 
 
 def test_row_of_off_support_and_round_trip():
     world, _ = schematic_world("zigzag-violation")
-    assert [world.row_of(t) for t in world.support] == list(range(world.support_size))
+    assert [world.rows_of(t[None])[0] for t in world.support] == list(range(world.support_size))
     assert world.rows_of(world.support).tolist() == list(range(world.support_size))
     with pytest.raises(ZeroMassConditioning):
-        world.row_of((0, 1, 0))
+        world.rows_of(np.array([[0, 1, 0]]))
     with pytest.raises(ZeroMassConditioning):
         world.rows_of(np.array([[0, 0, 0], [1, 0, 1]]))
 
 
+def test_from_map_rejects_off_support_and_wrong_arity_images():
+    world, _ = schematic_world("zigzag-violation")
+    with pytest.raises(ZeroMassConditioning):
+        CandidateModel.from_map(world, lambda t: (t[0], 1 - t[1], t[2]))  # off the diagonal support
+    with pytest.raises(ZeroMassConditioning):
+        CandidateModel.from_map(world, lambda t: t[:2])
+    with pytest.raises(ZeroMassConditioning):
+        CandidateModel.from_map(world, lambda t: t + (0,))
+
+
+def test_from_map_rejects_non_bijective_maps(world22):
+    with pytest.raises(WorldError):
+        CandidateModel.from_map(world22, lambda t: (t[0], 0))
+    world, _ = schematic_world("zigzag-violation")
+    with pytest.raises(WorldError):
+        CandidateModel.from_map(world, lambda t: (0, 0, t[2]))
+
+
 def test_encode_inverts_generate_and_rejects_unknown_ids():
     world = random_world(5, 2, [3, 3], 1.0)  # sparse support, scattered ids
-    rows = world.encode_rows([world.generate(t) for t in world.support])
+    rows = world.encode_rows([world.gen[tuple(t)] for t in world.support])
     assert world.support[rows].tolist() == world.support.tolist()
     assert world.encode_rows([-1, world.support_size, 10**6]).tolist() == [-1, -1, -1]
 
@@ -348,7 +367,7 @@ def test_candidate_observe_equals_per_row_apply_gen(corr):
         world = random_world(int(rng.integers(2**31)), n, cards, corr)
         model = CandidateModel(world, rng.permutation(world.support_size))
         z = model.sample_latents(rng, 50)
-        expected = [world.generate(tuple(model.mapped[world.row_of(row)])) for row in z]
+        expected = [world.gen[tuple(model.mapped[world.rows_of(row[None])[0]])] for row in z]
         assert model.observe(z).tolist() == expected
 
 
