@@ -26,9 +26,10 @@ class DiskRotationWorld:
     ordered: ClassVar[tuple[bool, ...]] = (True, True, True)
 
     def sample_latents(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        angles = rng.uniform(0.0, TWO_PI, m)
-        disk = _sample_disk(rng, m)
-        return np.column_stack([angles, disk])
+        out = np.empty((m, 3))
+        out[:, 0] = rng.uniform(0.0, TWO_PI, m)
+        _sample_disk(rng, out[:, 1:])
+        return out
 
     def resample_latents(self, rng, latents: np.ndarray, resample_cols: Sequence[int]) -> np.ndarray:
         """Redraw the given coordinates from their exact conditional.
@@ -45,7 +46,7 @@ class DiskRotationWorld:
         if 0 in cols:
             out[:, 0] = rng.uniform(0.0, TWO_PI, m)
         if {1, 2} <= cols:
-            out[:, 1:3] = _sample_disk(rng, m)
+            _sample_disk(rng, out[:, 1:])
         elif 1 in cols:
             half = np.sqrt(np.maximum(0.0, 1.0 - out[:, 2] ** 2))
             out[:, 1] = rng.uniform(-half, half)
@@ -73,16 +74,10 @@ class RotationCandidate(DiskRotationWorld):
 
     def phi(self, z: np.ndarray) -> np.ndarray:
         """Forward reparameterization (equals e* . g here)."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        c, s = np.cos(z[:, 0]), np.sin(z[:, 0])
-        return np.column_stack([z[:, 0], c * z[:, 1] - s * z[:, 2], s * z[:, 1] + c * z[:, 2]])
+        return _rotate(z, 1.0)
 
     def phi_inverse(self, s_vals: np.ndarray) -> np.ndarray:
-        s_vals = np.atleast_2d(np.asarray(s_vals, dtype=float))
-        c, s = np.cos(s_vals[:, 0]), np.sin(s_vals[:, 0])
-        return np.column_stack(
-            [s_vals[:, 0], c * s_vals[:, 1] + s * s_vals[:, 2], -s * s_vals[:, 1] + c * s_vals[:, 2]]
-        )
+        return _rotate(s_vals, -1.0)
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
         """g = g* . phi (g* is the identity)."""
@@ -95,7 +90,20 @@ def rotation_world() -> tuple[DiskRotationWorld, RotationCandidate]:
     return world, RotationCandidate(world)
 
 
-def _sample_disk(rng: np.random.Generator, m: int) -> np.ndarray:
-    radii = np.sqrt(rng.uniform(0.0, 1.0, m))
-    theta = rng.uniform(0.0, TWO_PI, m)
-    return np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
+def _sample_disk(rng: np.random.Generator, out: np.ndarray):
+    """Fill the (m, 2) array ``out`` with m points uniform on the unit disk."""
+    radii = np.sqrt(rng.uniform(0.0, 1.0, len(out)))
+    theta = rng.uniform(0.0, TWO_PI, len(out))
+    np.multiply(radii, np.cos(theta), out=out[:, 0])
+    np.multiply(radii, np.sin(theta), out=out[:, 1])
+
+
+def _rotate(z, sign: float) -> np.ndarray:
+    """(z1, z2, z3) with the point (z2, z3) rotated by sign * z1, row by row."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    c, s = np.cos(z[:, 0]), sign * np.sin(z[:, 0])
+    out = np.empty((len(z), 3))
+    out[:, 0] = z[:, 0]
+    out[:, 1] = c * z[:, 1] - s * z[:, 2]
+    out[:, 2] = s * z[:, 1] + c * z[:, 2]
+    return out

@@ -29,7 +29,7 @@ from .continuous import DiskRotationWorld, RotationCandidate
 from .errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 from .indexset import IndexSet
 from .supervision import SupervisionSpec, sample_features
-from .worlds import CandidateModel, group_ids, joint_table, mutual_information
+from .worlds import CandidateModel, _draw_rows, _resample_rows, group_ids, joint_table, mutual_information
 
 GENERATOR_BASED = "generator"
 ENCODER_BASED = "encoder"
@@ -119,19 +119,19 @@ class EvaluationTarget:
         return m.support, m.base.support_probs, m.support[m.inv_perm], m.cards
 
     def mc_parts(self):
-        """(latent sampler, measured-batch function) for Monte-Carlo mode.
-
-        The sampler follows the sample_latents/resample_latents protocol;
-        the function maps an (m, n) latent batch to measured factors.
-        """
+        """(sample, resample, measure) for Monte-Carlo mode: ``sample(rng, k)``
+        draws a batch of k latents from the prior, ``resample(rng, batch,
+        cols)`` redraws their 0-based coordinates ``cols`` from the exact
+        conditional, and ``measure(batch, cols)`` gives the measured factors
+        ``cols``, one row per factor.  Discrete batches hold support rows."""
         m = self.model
         if self.is_discrete:
-            _, _, measured, _ = self.exact_view()
-            sampler = m if self.direction == GENERATOR_BASED else m.base
-            return sampler, lambda z: measured[m.base.rows_of(z)]
-        if self.direction == GENERATOR_BASED:
-            return m, m.phi
-        return m.base, m.phi_inverse
+            _, probs, measured, _ = self.exact_view()
+            return (lambda rng, k: _draw_rows(rng, probs, k),
+                    lambda rng, rows, cols: _resample_rows(rng, m.base, probs, rows, cols),
+                    lambda rows, cols: measured.T[cols].take(rows, axis=1))
+        sampler, phi = (m, m.phi) if self.direction == GENERATOR_BASED else (m.base, m.phi_inverse)
+        return sampler.sample_latents, sampler.resample_latents, lambda z, cols: phi(z)[:, cols].T
 
 
 # -- exact engine ----------------------------------------------------------------
@@ -207,20 +207,30 @@ def _exact_stats(support, probs, mapped, cards, sets, gap: bool = False):
     return num.reshape(shape), gaps.reshape(shape) if gap else None
 
 
-def _fact_verdicts(raw, facts, tol: float) -> np.ndarray:
-    """Verdicts of one C/R/D fact (shape (...)) or of a list of them
-    (..., F) from one call ``raw(sets)``, the raw consistency (..., S) of a
-    list of distinct index sets: C(I) reads I, R(I) reads ~I, and D(I)
-    reads both."""
-    if not 0 <= tol < np.inf:  # NaN fails too
-        raise MetricError(f"tol must be a nonnegative number below infinity, got {tol!r}")
-    single = isinstance(facts, Fact)
-    slots, reads, starts = {}, [], []  # each fact's reads in a row: C and R one, D two
-    for f in [facts] if single else facts:
+@lru_cache(maxsize=256)
+def _verdict_layout(facts: tuple) -> tuple:
+    """(distinct index sets read, each fact's reads in a row, each fact's
+    first read) of a tuple of facts, the last two as read-only arrays:
+    C(I) reads I, R(I) reads ~I, and D(I) reads both."""
+    slots, reads, starts = {}, [], []
+    for f in facts:
         I = ~f.index_set if f.kind == "R" else f.index_set
         starts.append(len(reads))
         reads += [slots.setdefault(J, len(slots)) for J in ([I, ~I] if f.kind == "D" else [I])]
-    ok = np.logical_and.reduceat((raw(list(slots)) <= tol)[..., reads], starts, axis=-1)
+    reads, starts = np.array(reads, dtype=np.intp), np.array(starts, dtype=np.intp)
+    reads.flags.writeable = starts.flags.writeable = False
+    return tuple(slots), reads, starts
+
+
+def _fact_verdicts(raw, facts, tol: float) -> np.ndarray:
+    """Verdicts of one C/R/D fact (shape (...)) or of a list of them
+    (..., F) from one call ``raw(sets)``, the raw consistency (..., S) of the
+    distinct index sets the facts read (see ``_verdict_layout``)."""
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise MetricError(f"tol must be a nonnegative number below infinity, got {tol!r}")
+    single = isinstance(facts, Fact)
+    sets, reads, starts = _verdict_layout((facts,) if single else tuple(facts))
+    ok = np.logical_and.reduceat((raw(list(sets)) <= tol)[..., reads], starts, axis=-1)
     return ok[..., 0] if single else ok
 
 
@@ -264,20 +274,20 @@ def _mc_pairs(target, I: IndexSet, samples: int):
     if samples < 1:
         raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
     cols, resample_cols = I.cols(), I.complement().cols()
-    sampler, measure = target.mc_parts()
+    sample, resample, measure = target.mc_parts()
 
     def distance(z, z2):
-        a, b = measure(z)[:, cols], measure(z2)[:, cols]
+        a, b = measure(z, cols), measure(z2, cols)
         if target.is_discrete:
-            return (a != b).sum(axis=1).astype(float)
-        return ((a - b) ** 2).sum(axis=1)
+            return (a != b).sum(axis=0, dtype=float)
+        return ((a - b) ** 2).sum(axis=0)
 
     def num_chunk(rng, m):
-        z = sampler.sample_latents(rng, m)
-        return distance(z, sampler.resample_latents(rng, z, resample_cols))
+        z = sample(rng, m)
+        return distance(z, resample(rng, z, resample_cols))
 
     def den_chunk(rng, m):
-        return distance(sampler.sample_latents(rng, m), sampler.sample_latents(rng, m))
+        return distance(sample(rng, m), sample(rng, m))
 
     return num_chunk, den_chunk
 
@@ -413,11 +423,11 @@ def mig(
     else:
         if samples < 1:
             raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
-        sampler, measure = target.mc_parts()
-        z = sampler.sample_latents(np.random.default_rng(seed), samples)
-        s = measure(z)
+        sample, _, measure = target.mc_parts()
+        z = sample(np.random.default_rng(seed), samples)
+        s = measure(z, list(range(n)))
         latents = np.column_stack([_equal_mass_bins(z[:, j], bins) for j in range(n)])
-        measured = np.column_stack([_equal_mass_bins(s[:, k], bins) for k in range(n)])
+        measured = np.column_stack([_equal_mass_bins(s[k], bins) for k in range(n)])
         weights, cards, mode = np.full(samples, 1.0 / samples), (bins,) * n, "mc"
     gaps = []
     for k in range(n):
@@ -537,12 +547,13 @@ def _null_blocks(rng, counts: np.ndarray, half: int, draws: int):
     step = max(1, _NULL_BLOCK_WORDS // len(mask))
     for done in range(0, draws, step):
         bits = rng.integers(2**64, size=(min(step, draws - done), len(mask)), dtype=np.uint64) & mask
-        first = np.add.reduceat(np.bitwise_count(bits), starts, axis=1, dtype=np.int64)
+        pops = np.bitwise_count(bits)  # a segment sum costs per cell, so cells of one word skip it
+        first = pops.astype(np.int64) if len(mask) == len(counts) else np.add.reduceat(pops, starts, 1, np.int64)
         excess = first.sum(axis=1) - half
-        pool = np.where(excess[:, None] > 0, first, counts - first)
+        pool, over = np.where(excess[:, None] > 0, first, counts - first), np.abs(excess)
         ends = np.cumsum(pool)
-        size = np.repeat(pool.sum(axis=1), np.abs(excess))
-        base = np.repeat(ends[len(counts) - 1::len(counts)], np.abs(excess)) - size
+        size = np.repeat(pool.sum(axis=1), over)
+        base = np.repeat(ends[len(counts) - 1::len(counts)], over) - size
         # Sorting keeps each pick in its row's slots; a pick equal to another is
         # drawn again, a rule that only compares picks and so favours no record.
         picks, again = np.empty(len(size), dtype=np.int64), np.arange(len(size))

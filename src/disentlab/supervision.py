@@ -260,7 +260,7 @@ def sample_features(obj, spec: SupervisionSpec, rng: np.random.Generator, count:
     Continuous observations contribute their coordinates; labels, partner
     observations, and rank indicators are appended as extra columns.
     """
-    return np.column_stack(_record_columns(obj, spec, rng, count)).astype(float)
+    return np.column_stack(_record_columns(obj, spec, rng, count)).astype(float, copy=False)
 
 
 # -- dataset files ----------------------------------------------------------------

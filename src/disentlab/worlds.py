@@ -137,12 +137,11 @@ class DiscreteWorld:
 
     def sample_latents(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m i.i.d. factor tuples from the prior, as an (m, n) int array."""
-        rows = _draw_rows(rng, self.support_probs, m)
-        return self.support[rows]
+        return self.support[_draw_rows(rng, self.support_probs, m)]
 
     def resample_latents(self, rng, latents: np.ndarray, resample_cols: Sequence[int]) -> np.ndarray:
         """Redraw the given 0-based coordinates from their exact conditional."""
-        return _resample_table(rng, self, self.support_probs, latents, resample_cols)
+        return self.support[_resample_rows(rng, self, self.support_probs, self.rows_of(latents), resample_cols)]
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
         """Vectorized g* over an (m, n) array of factor tuples."""
@@ -309,11 +308,10 @@ class CandidateModel:
     # -- sampling protocol ---------------------------------------------------
 
     def sample_latents(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        rows = _draw_rows(rng, self.probs, m)
-        return self.support[rows]
+        return self.support[_draw_rows(rng, self.probs, m)]
 
     def resample_latents(self, rng, latents: np.ndarray, resample_cols: Sequence[int]) -> np.ndarray:
-        return _resample_table(rng, self.base, self.probs, latents, resample_cols)
+        return self.support[_resample_rows(rng, self.base, self.probs, self.base.rows_of(latents), resample_cols)]
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
         return self.base.obs_ids[self.perm[self.base.rows_of(latents)]]
@@ -448,24 +446,25 @@ def _draw_rows(rng: np.random.Generator, probs: np.ndarray, m: int) -> np.ndarra
     return np.searchsorted(cum, rng.random(m), side="right")
 
 
-def _resample_table(rng, world: DiscreteWorld, probs, latents, resample_cols) -> np.ndarray:
-    """Redraw the given coordinates of each row from the exact conditional,
-    given the remaining coordinates, of the table ``probs`` over the world's
-    support rows.  Groups draw in lexicographic order of their fixed values."""
-    support = world.support
-    resample_cols = sorted(set(resample_cols))
+def _resample_rows(rng, world: DiscreteWorld, probs, rows: np.ndarray, resample_cols) -> np.ndarray:
+    """Redraw the given coordinates of the support rows ``rows`` from the
+    exact conditional, given the remaining coordinates, of the table
+    ``probs`` over the world's support rows.  Groups of rows sharing their
+    fixed values draw in lexicographic order of those values, each group's
+    rows in batch order."""
+    resample_cols = set(resample_cols)
     if not resample_cols:
-        return latents.copy()
-    fixed = [c for c in range(world.n) if c not in resample_cols]
-    m = len(support)
-    ids, count = group_ids(np.concatenate([support, latents]), fixed, world.cards)
-    order = np.argsort(ids, kind="stable")  # per group: its support rows, then its latents
-    bounds = np.searchsorted(ids[order], np.arange(count + 1))
-    out = np.array(latents)
-    for g in np.unique(ids[m:]):
-        rows = order[bounds[g]:bounds[g + 1]]
-        idx, members = rows[rows < m], rows[rows >= m] - m
-        out[members] = support[idx[_draw_rows(rng, probs[idx] / probs[idx].sum(), len(members))]]
+        return rows.copy()
+    ids, count = group_ids(world.support, [c for c in range(world.n) if c not in resample_cols], world.cards)
+    members = np.argsort(ids, kind="stable")  # support rows, group by group
+    batch = ids.astype(np.min_scalar_type(count))[rows]  # 8- or 16-bit ids sort by radix
+    order = np.argsort(batch, kind="stable")  # batch positions, group by group
+    edges = np.searchsorted(ids[members], np.arange(count + 1))
+    cuts = np.searchsorted(batch[order], np.arange(count + 1))
+    out = np.empty_like(rows)
+    for g in np.flatnonzero(np.diff(cuts)):
+        idx, at = members[edges[g]:edges[g + 1]], order[cuts[g]:cuts[g + 1]]
+        out[at] = idx[_draw_rows(rng, probs[idx] / probs[idx].sum(), len(at))]
     return out
 
 

@@ -229,7 +229,7 @@ def test_criterion_7_full_disentanglement_vs_unsupervised():
 
 
 def test_criterion_8_mc_agrees_with_exact():
-    c = Criterion(8, "Monte-Carlo scores track exact scores within 3 std errors", 6)
+    c = Criterion(8, "Monte-Carlo scores track exact scores within 3 std errors", 0.8)
     rng = np.random.default_rng(17)
     agree = 0
     cases = 0

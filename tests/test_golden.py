@@ -96,6 +96,15 @@ MATCH_STAT_GOLDEN = {
     "share:2": "0x1.157d6ab9dd30fp-10",
 }
 
+# (threshold, p-value) of the same checks, captured from the fair-coin null
+# in blocks: they pin every split the null draws.
+MATCH_NULL_GOLDEN = {
+    "label:1": ("0x1.435e2a80fdae7p-13", "0x1.978feb9f34381p-4"),
+    "share:1": ("0x1.d04fa63ff70f2p-14", "0x1.460cbc7f5cf9ap-3"),
+    "label:2": ("0x1.19d02d20ecd6fp-13", "0x1.460cbc7f5cf9ap-8"),
+    "share:2": ("0x1.bf5f57d29a842p-14", "0x1.460cbc7f5cf9ap-8"),
+}
+
 SPECS = ("label:1,2", "share:1", "change:2", "rank:2")
 
 
@@ -171,4 +180,5 @@ def test_match_statistics_golden(text):
     spec = SupervisionSpec.parse(text)
     result = metrics.mc_match_check(rot, oracle, spec, seed=0, samples=20000)
     assert result.statistic.hex() == MATCH_STAT_GOLDEN[text]
+    assert (result.threshold.hex(), result.p_value.hex()) == MATCH_NULL_GOLDEN[text]
     assert metrics.mc_match_check(rot, oracle, spec, seed=0, samples=20000) == result

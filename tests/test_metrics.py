@@ -25,7 +25,7 @@ from disentlab import (
     schematic_world,
     uniform_world,
 )
-from disentlab import metrics
+from disentlab import metrics, worlds
 from disentlab.metrics import ENCODER_BASED, GENERATOR_BASED
 from disentlab.learner import matched_perms
 from disentlab.verify import battery_specs, check_fact_brute, theorem_battery
@@ -469,16 +469,13 @@ def test_verdicts_reject_negative_or_nan_tol(world22, tol):
 def test_holds_mc_draws_only_conditional_pairs(xor_model, monkeypatch):
     drawn = []
 
-    def counting(method):
-        def wrapper(self, *args):
-            out = method(self, *args)
-            drawn.append(len(out))
-            return out
+    def counting(rng, probs, m):
+        drawn.append(m)
+        return draw_rows(rng, probs, m)
 
-        return wrapper
-
-    for name in ("sample_latents", "resample_latents"):
-        monkeypatch.setattr(CandidateModel, name, counting(getattr(CandidateModel, name)))
+    draw_rows = worlds._draw_rows
+    for module in (worlds, metrics):  # the sampler and the engine's prior draws
+        monkeypatch.setattr(module, "_draw_rows", counting)
     target, I2 = gen_target(xor_model), IndexSet.of([2], 2)
     dev = float(metrics._mc_deviations(target, I2, 1000, 4)[0].mean())
     drawn.clear()

@@ -23,11 +23,13 @@ from disentlab.errors import (
 )
 from disentlab.verify import check_assumptions
 from disentlab.worlds import (
+    _resample_rows,
     load_world,
     mutual_information,
     save_world,
     zigzag_connectivity,
 )
+from reference_sampler import resample_table
 
 
 def test_uniform_world_is_valid(world22):
@@ -70,6 +72,27 @@ def test_resampling_every_coordinate_draws_from_the_prior(seed):
         latents = obj.sample_latents(np.random.default_rng(100 + seed), 300)
         redrawn = obj.resample_latents(np.random.default_rng(seed), latents, range(3))
         assert np.array_equal(redrawn, obj.sample_latents(np.random.default_rng(seed), 300))
+
+
+@pytest.mark.parametrize("batch", [0, 1, 7, 8192])
+@pytest.mark.parametrize("shape", ["independent", "random", "diagonal", "subset"])
+def test_resample_rows_equals_per_group_table_loop(shape, batch):
+    """The grouped redraw over support rows gives the rows, and leaves the
+    generator in the state, of the per-group loop over factor tuples, for
+    the world's prior and a permuted one and for every set of redrawn
+    coordinates, none and all included."""
+    rng = np.random.default_rng(batch)
+    world = _random_support_world(rng, 3, (3, 2, 3), shape)
+    model = CandidateModel(world, rng.permutation(world.support_size))
+    for obj, probs in ((world, world.support_probs), (model, model.probs)):
+        rows = rng.integers(world.support_size, size=batch)
+        for bits in range(1 << world.n):
+            cols = [c for c in range(world.n) if bits >> c & 1]
+            ours, theirs, public = (np.random.default_rng(bits) for _ in range(3))
+            want = resample_table(theirs, world, probs, world.support[rows], cols)
+            assert np.array_equal(world.support[_resample_rows(ours, world, probs, rows, cols)], want)
+            assert np.array_equal(obj.resample_latents(public, world.support[rows], cols), want)
+            assert ours.bit_generator.state == theirs.bit_generator.state == public.bit_generator.state
 
 
 # -- random worlds --------------------------------------------------------------
