@@ -305,7 +305,7 @@ def expand_eta_fact(f: Fact, n: int) -> list[Fact]:
         raise NuisanceInAxiomIndexSet(
             f"eta-facts take index sets over the {n} regular factors, got {I!r}"
         )
-    lifted = I.with_nuisance()
+    lifted = IndexSet(n, I.bits, True)
     eta = IndexSet.of([lifted.eta_index], n, True)
     if f.kind == KIND_C:
         return [Fact(KIND_C, lifted)]

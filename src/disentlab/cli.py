@@ -37,6 +37,7 @@ from .verify import (
 from .worlds import (
     SCHEMATIC_KINDS,
     CandidateModel,
+    DiscreteWorld,
     load_world,
     random_world,
     save_world,
@@ -44,41 +45,53 @@ from .worlds import (
 )
 
 
-def _load_world_arg(value: str):
-    """A world argument is a named construction or a world file path.
+class _Ints(click.ParamType):
+    """Comma-separated nonnegative integers, read by ``parse_ints``."""
 
-    Returns (world, paired_model_or_None); named constructions carry
-    their canonical candidate model.
-    """
-    if value == "rotation":
-        return rotation_world()
-    if value in SCHEMATIC_KINDS:
-        return schematic_world(value)
-    return _read_world_file(value), None
+    name = "text"  # the metavar --help shows, as for a plain string option
 
-
-def _read_world_file(path: str):
-    """Load a world file; an unreadable or invalid file is a usage error."""
-    try:
-        return load_world(path)
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot read world file {path!r}: {exc}")
-    except DisentlabError as exc:
-        raise click.UsageError(f"invalid world file {path!r}: {exc}")
+    def convert(self, value, param, ctx):
+        try:
+            return parse_ints(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
 
 
-def _read_model_perm(path: str) -> list:
-    """The 'perm' array of a model file; a malformed file is a usage error."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise click.UsageError(f"cannot read model file {path!r}: {exc.strerror}")
-    except ValueError as exc:
-        raise click.UsageError(f"model file {path!r} is not valid JSON: {exc}")
-    perm = doc.get("perm") if isinstance(doc, dict) else None
-    if not isinstance(perm, list) or not all(type(v) is int for v in perm):
-        raise click.UsageError(f"model file {path!r} needs a 'perm' array of integers")
-    return perm
+class _World(click.ParamType):
+    """A world file, or with ``named`` also a named construction, as the pair
+    (world, paired candidate or None); named constructions carry their
+    canonical candidate model."""
+
+    name = "text"  # the metavar --help shows, as for a plain string option
+
+    def __init__(self, named: bool):
+        self.named = named
+
+    def convert(self, value, param, ctx):
+        if self.named and value == "rotation":
+            return rotation_world()
+        if self.named and value in SCHEMATIC_KINDS:
+            return schematic_world(value)
+        try:
+            return load_world(value), None
+        except DisentlabError as exc:
+            self.fail(f"invalid world file {value!r}: {exc}", param, ctx)
+
+
+class _ModelFile(click.ParamType):
+    """The 'perm' array of a JSON model file."""
+
+    name = "path"  # the metavar --help shows, as for click.Path
+
+    def convert(self, value, param, ctx):
+        try:
+            doc = json.loads(Path(value).read_text())
+        except ValueError as exc:
+            self.fail(f"model file {value!r} is not valid JSON: {exc}", param, ctx)
+        perm = doc.get("perm") if isinstance(doc, dict) else None
+        if not isinstance(perm, list) or not all(type(v) is int for v in perm):
+            self.fail(f"model file {value!r} needs a 'perm' array of integers", param, ctx)
+        return perm
 
 
 def _emit_records(records: list[dict], fmt: str):
@@ -87,8 +100,6 @@ def _emit_records(records: list[dict], fmt: str):
             click.echo(json.dumps(rec))
         return
     if fmt == "csv":
-        if not records:
-            return
         fieldnames = list(dict.fromkeys(k for rec in records for k in rec))
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames)
@@ -106,7 +117,8 @@ class _OneLineErrors(click.Group):
     above the message when the error has a context, so that context is
     dropped; errors that show themselves otherwise, such as the help page of
     a bare group, keep it.  Subcommand errors pass through ``invoke``,
-    which also makes every library error a usage error."""
+    which also makes every library error, and every file that cannot be
+    read or written, a usage error."""
 
     @staticmethod
     def _drop_context(exc: click.UsageError):
@@ -128,6 +140,10 @@ class _OneLineErrors(click.Group):
             raise
         except DisentlabError as exc:
             raise click.UsageError(str(exc))
+        except BrokenPipeError:
+            raise  # a closed stdout: click's main exits quietly
+        except OSError as exc:
+            raise click.UsageError(f"cannot access {exc.filename!r}: {exc.strerror}" if exc.filename else str(exc))
 
 
 @click.group(cls=_OneLineErrors)
@@ -146,49 +162,39 @@ def world():
 @world.command("gen")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n", "n_factors", type=int, default=2, show_default=True)
-@click.option("--cards", default="2,2", show_default=True, help="Comma-separated cardinalities.")
+@click.option("--cards", type=_Ints(), default="2,2", show_default=True, help="Comma-separated cardinalities.")
 @click.option("--corr", default=0.0, show_default=True, help="Factor correlation strength in [0,1].")
 @click.option("--schematic", type=click.Choice(SCHEMATIC_KINDS), default=None,
               help="Emit a named schematic world instead of a random one.")
 @click.option("--out", "-o", type=click.Path(), default=None, help="Output file (default stdout).")
 def world_gen(seed, n_factors, cards, corr, schematic, out):
     """Write a world-spec document."""
-    try:
-        if schematic:
-            w, _ = schematic_world(schematic)
-        else:
-            w = random_world(seed, n_factors, parse_ints(cards), corr)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    w = schematic_world(schematic)[0] if schematic else random_world(seed, n_factors, cards, corr)
     if out:
-        try:
-            save_world(w, out)
-        except OSError as exc:
-            raise click.UsageError(f"cannot write {out!r}: {exc.strerror}")
+        save_world(w, out)
         click.echo(f"wrote {out}")
     else:
         click.echo(json.dumps(w.to_doc()))
 
 
 @world.command("validate")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=_World(named=False))
 def world_validate(path):
     """Run the assumption report on a world file (warnings do not fail)."""
-    w = _read_world_file(path)
+    w, _ = path
     report = check_assumptions(w)
     click.echo(f"injective generator: {report.injective}")
     click.echo(f"encoder inverts generator: {report.encoder_inverts}")
-    if report.zigzag_failures:
-        for a, b in report.zigzag_failures:
-            click.echo(f"warning: support not zig-zag connected for I={list(a)} J={list(b)}")
+    for a, b in report.zigzag_failures:
+        click.echo(f"warning: support not zig-zag connected for I={list(a)} J={list(b)}")
     click.echo("ok" if report.ok else "assumption warnings present")
 
 
 @world.command("inspect")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=_World(named=False))
 def world_inspect(path):
     """Print support, marginals, and the pairwise mutual-information table."""
-    w = _read_world_file(path)
+    w, _ = path
     click.echo(f"factors: {w.n}  cards: {list(w.cards)}  ordered: {list(w.ordered)}")
     click.echo(f"support size: {w.support_size}")
     for t, p, x in zip(w.support, w.support_probs, w.obs_ids):
@@ -205,19 +211,15 @@ def world_inspect(path):
 
 
 @main.command()
-@click.option("--world", "world_arg", required=True, help="World file or named world.")
+@click.option("--world", "world_arg", type=_World(named=True), required=True,
+              help="World file or named world.")
 @click.option("--spec", "spec_str", required=True, help="Supervision spec, e.g. share:1 or label:1,2.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n", "count", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--out", "-o", type=click.Path(), required=True)
 def dataset(world_arg, spec_str, seed, count, out):
     """Sample an augmented-distribution dataset to a file."""
-    w, _ = _load_world_arg(world_arg)
-    spec = SupervisionSpec.parse(spec_str)
-    try:
-        write_dataset(out, w, spec, seed, count)
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {out!r}: {exc.strerror}")
+    write_dataset(out, world_arg[0], SupervisionSpec.parse(spec_str), seed, count)
     click.echo(f"wrote {count} records to {out}")
 
 
@@ -225,12 +227,13 @@ def dataset(world_arg, spec_str, seed, count, out):
 
 
 @main.command()
-@click.option("--world", "world_arg", required=True, help="World file or named world.")
-@click.option("--bijection", default=None,
+@click.option("--world", "world_arg", type=_World(named=True), required=True,
+              help="World file or named world.")
+@click.option("--bijection", type=_Ints(), default=None,
               help="Candidate as a comma-separated support permutation (default identity).")
-@click.option("--model-file", type=click.Path(exists=True), default=None,
+@click.option("--model-file", type=_ModelFile(), default=None,
               help="JSON file with a 'perm' array.")
-@click.option("--set", "sets", multiple=True,
+@click.option("--set", "sets", type=_Ints(), multiple=True,
               help="Index set like 1,2 (repeatable; default: every singleton).")
 @click.option("--facts", default=None,
               help="Fact conjunction like 'C{1} & R{2}' to test with holds().")
@@ -248,37 +251,18 @@ def dataset(world_arg, spec_str, seed, count, out):
 def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, samples, seed,
           tol, with_mig, fmt):
     """Emit normalized consistency/restrictiveness records for a candidate."""
-    w, paired = _load_world_arg(world_arg)
-    if bijection or model_file:
-        if world_arg == "rotation":
+    w, paired = world_arg
+    if model_file is not None or bijection:  # an empty --bijection keeps the default candidate
+        if not isinstance(w, DiscreteWorld):
             raise click.UsageError("the rotation world carries its own candidate")
-        if model_file:
-            perm = _read_model_perm(model_file)
-        else:
-            try:
-                perm = parse_ints(bijection)
-            except ValueError:
-                raise click.UsageError(f"--bijection {bijection!r} is not a comma-separated list of integers")
-        try:
-            model = CandidateModel(w, perm)
-        except OverflowError as exc:
-            raise click.UsageError(str(exc))
-    elif paired is not None:
-        model = paired
+        model = CandidateModel(w, bijection if model_file is None else model_file)
     else:
-        model = CandidateModel.identity(w)
+        model = paired or CandidateModel.identity(w)
 
-    discrete = isinstance(model, CandidateModel)
     if mode is None:
-        mode = "exact" if discrete else "mc"
+        mode = "exact" if isinstance(model, CandidateModel) else "mc"
     n = model.n
-    if sets:
-        try:
-            index_sets = [IndexSet.of(parse_ints(s), n) for s in sets]
-        except (ValueError, DisentlabError) as exc:
-            raise click.UsageError(f"bad --set for {n} factors: {exc}")
-    else:
-        index_sets = [IndexSet.of([i], n) for i in range(1, n + 1)]
+    index_sets = [IndexSet.of(s, n) for s in sets or [[i] for i in range(1, n + 1)]]
 
     directions = {"gen": ["generator"], "enc": ["encoder"], "both": ["generator", "encoder"]}[direction]
     kinds = {"c": ["consistency"], "r": ["restrictiveness"], "both": ["consistency", "restrictiveness"]}[kind]
@@ -324,18 +308,11 @@ def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, 
 def calc(n_factors, axioms, query, nuisance, fmt):
     """Entailment queries over C/R/D facts; without --query, list the closure."""
     axiom_facts = parse_facts(axioms, n_factors, nuisance)
-    if query is None:
-        fs = closure(axiom_facts, n_factors, nuisance=nuisance)
-    else:
+    if query is not None:
         queries = parse_facts(query, n_factors, nuisance)
         fs = derive(axiom_facts, queries, n_factors, nuisance)
-
-    if query is not None:
         ok = all(fs.contains(q) for q in queries)
-        lines: list[str] = []
-        if ok:
-            for q in queries:
-                lines.extend(fs.trace_lines(q))
+        lines = [line for q in queries for line in fs.trace_lines(q)] if ok else []
         if fmt == "json":
             click.echo(json.dumps({"entailed": ok, "trace": lines}))
         else:
@@ -344,6 +321,7 @@ def calc(n_factors, axioms, query, nuisance, fmt):
                 click.echo("  " + line)
         return
 
+    fs = closure(axiom_facts, n_factors, nuisance=nuisance)
     facts = [str(f) for f in fs.facts()]
     derived = [str(f) for f in fs.derived_d()]
     if fmt == "json":
@@ -372,32 +350,21 @@ def calc(n_factors, axioms, query, nuisance, fmt):
               show_default=True)
 def verify(sweep, counterexamples, theorems, seed, trials, support_max, samples, fmt):
     """Run the verification suites; exit 1 unless every check passes."""
-    if not (sweep or counterexamples or theorems):
-        sweep = counterexamples = theorems = True
+    suites = [
+        ("counterexamples", counterexamples, lambda: run_counterexample_suite(seed=seed, samples=samples)),
+        ("theorems", theorems, lambda: verify_theorem_guarantees(support_max=support_max, seed=seed)),
+        ("sweep", sweep, lambda: soundness_sweep(seed=seed, trials=trials)),
+    ]
+    run_all = not (sweep or counterexamples or theorems)
     passed = True
     out: dict = {}
-
-    if counterexamples:
-        report = run_counterexample_suite(seed=seed, samples=samples)
-        passed &= report.passed
-        out["counterexamples"] = report.to_dict()
-        if fmt == "text":
-            click.echo(report.to_text())
-    if theorems:
-        report = verify_theorem_guarantees(support_max=support_max, seed=seed)
-        passed &= report.passed
-        out["theorems"] = report.to_dict()
-        if fmt == "text":
-            click.echo(report.to_text())
-    if sweep:
-        sweep_report = soundness_sweep(seed=seed, trials=trials)
-        passed &= sweep_report.passed
-        out["sweep"] = sweep_report.to_dict()
-        if fmt == "text":
-            click.echo(
-                f"sweep: {sweep_report.trials} trials, {sweep_report.facts_checked} facts, "
-                f"{len(sweep_report.violations)} violations"
-            )
+    for name, chosen, run in suites:
+        if chosen or run_all:
+            report = run()
+            passed &= report.passed
+            out[name] = report.to_dict()
+            if fmt == "text":
+                click.echo(report.to_text())
     if fmt == "json":
         click.echo(json.dumps(out))
     sys.exit(0 if passed else 1)

@@ -99,12 +99,6 @@ class IndexSet:
 
     # -- rendering ---------------------------------------------------------
 
-    def with_nuisance(self) -> "IndexSet":
-        """Lift into the universe that includes the nuisance index."""
-        if self.nuisance:
-            return self
-        return IndexSet(self.n, self.bits, True)
-
     def __str__(self) -> str:
         parts = []
         for i in self.members():

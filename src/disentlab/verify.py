@@ -167,6 +167,9 @@ class SweepReport:
     def to_dict(self) -> dict:
         return {**report_doc(self), "passed": self.passed}
 
+    def to_text(self) -> str:
+        return f"sweep: {self.trials} trials, {self.facts_checked} facts, {len(self.violations)} violations"
+
 
 def _true_atoms(world: DiscreteWorld, perms) -> list[set[tuple[str, int]]]:
     """Exact truth of every C/R atom over all 2^n index sets, one atom set

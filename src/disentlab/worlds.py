@@ -67,8 +67,6 @@ class DiscreteWorld:
 
         mask = prior > 0
         support = np.argwhere(mask).astype(np.int64)  # lexicographic row order
-        if len(support) == 0:
-            raise NonNormalizedPrior("prior has empty support")
         ids = gen[mask]
         if np.any(ids < 0):
             raise NonInjectiveGenerator("positive-mass tuple mapped to negative observation id")
@@ -145,7 +143,7 @@ class DiscreteWorld:
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
         """Vectorized g* over an (m, n) array of factor tuples."""
-        return self.gen[tuple(latents[:, j] for j in range(self.n))]
+        return self.obs_ids[self.rows_of(latents)]
 
     # -- serialization -------------------------------------------------------
 
@@ -206,7 +204,7 @@ def world_from_doc(doc: dict) -> DiscreteWorld:
 def load_world(path) -> DiscreteWorld:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
         raise WorldError(f"world file is not valid JSON: {exc}") from exc
     return world_from_doc(doc)
 
@@ -276,7 +274,10 @@ class CandidateModel:
     """
 
     def __init__(self, world: DiscreteWorld, perm: Sequence[int]):
-        perm = np.asarray(perm, dtype=np.int64)
+        try:
+            perm = np.asarray(perm, dtype=np.int64)
+        except OverflowError as exc:
+            raise WorldError(f"perm entry out of range: {exc}") from exc
         m = world.support_size
         if perm.shape != (m,) or not np.array_equal(np.sort(perm), np.arange(m)):
             raise WorldError(f"perm must be a permutation of range({m})")

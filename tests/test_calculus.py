@@ -50,6 +50,15 @@ def test_full_disentanglement_from_singleton_consistency():
         assert fs.contains(F("D", [i], 3))
 
 
+def test_unknown_kind_and_foreign_universe_rejected():
+    with pytest.raises(CalculusError, match="unknown fact kind"):
+        F("X", [1], 3)
+    fs = closure([F("C", [1], 3)], 3)
+    for foreign in (F("C", [1], 2), F("C", [1], 3, nuisance=True)):
+        with pytest.raises(CalculusError, match="outside this fact set's universe"):
+            fs.contains(foreign)
+
+
 def test_full_disentanglement_from_singleton_restrictiveness():
     c_side = closure([F("C", [i], 3) for i in (1, 2, 3)], 3)
     r_side = closure([F("R", [i], 3) for i in (1, 2, 3)], 3)
@@ -324,7 +333,7 @@ def test_parse_eta_tokens():
 
 
 def test_parse_errors():
-    for bad in ("C{9}", "X{1}", "C{1", "C{one}", "Ceta{1}"):
+    for bad in ("C{9}", "X{1}", "C{1", "C{one}", "Ceta{1}", "C{eta}"):
         with pytest.raises((FactParseError, CalculusError)):
             parse_facts(bad, 3)
 

@@ -1,4 +1,6 @@
+import ast
 import csv
+import errno
 import io
 import json
 import tempfile
@@ -10,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disentlab import cli
 from disentlab.calculus import MAX_UNIVERSE
 from disentlab.cli import main
 
@@ -237,6 +240,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
     "cards-float": '{"version": 1, "n": 2, "cards": [2.9, "1"], "prior": [0.5, 0.5], "gen": [0, 1]}',
     "cards-bool": '{"version": 1, "n": 2, "cards": [true, 2], "prior": [0.5, 0.5], "gen": [0, 1]}',
     "version-bool": '{"version": true, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}',
+    "not-utf8": b'\xff{%s, "gen": [0, 1]}' % HALF.encode(),
 }
 
 
@@ -282,6 +286,10 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["score", *CNR, "--bijection", "\u0660,\u0661,\u0662,\u0663"],
         ["world", "gen", "--cards", "\u0662,\u0663"],
         ["dataset", *CNR, "--spec", "share:\u0662", "--out", "{tmp}/d.jsonl"],
+        ["score", *CNR, "--model-file", "{tmp}/missing.json"],
+        ["world", "inspect", "{tmp}/not-utf8.json"],
+        ["score", *CNR, "--bijection", str(2**64)],
+        ["score", "--world", "rotation", "--bijection", "0,1"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "tol-negative", "tol-nan", "tol-inf", "model-file-directory",
@@ -292,11 +300,12 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
          "world-gen-huge", "world-ordered-number", "world-ordered-string", "world-n-string",
          "world-cards-float", "world-cards-bool", "world-version-bool", "gen-out-directory",
          "gen-out-missing-dir", "set-arabic-indic-digit", "bijection-arabic-indic-digit",
-         "cards-arabic-indic-digit", "spec-arabic-indic-digit"],
+         "cards-arabic-indic-digit", "spec-arabic-indic-digit", "model-file-missing", "world-not-utf8",
+         "bijection-past-int64", "bijection-on-rotation"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     for name, text in BAD_WORLDS.items():
-        (tmp_path / f"{name}.json").write_text(text)
+        (tmp_path / f"{name}.json").write_bytes(text if isinstance(text, bytes) else text.encode())
     res = runner.invoke(main, [a.replace("{tmp}", str(tmp_path)) for a in args])
     assert res.exit_code == 2 and isinstance(res.exception, (SystemExit, type(None)))
     lines = [line for line in res.output.splitlines() if line.strip()]
@@ -307,6 +316,44 @@ def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
 def test_bare_group_prints_its_help(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2 and res.output.startswith("Usage:") and "Commands:" in res.output
+
+
+def test_errors_become_exit_two_at_one_boundary():
+    """Command bodies catch nothing but the degenerate-denominator record of
+    ``score``, and only ``_OneLineErrors`` turns a caught exception into a
+    ``click.UsageError``; parameter types report bad values through
+    ``self.fail``.  So every error takes the same one-line path to exit 2."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and any(f".{kind}(" in ast.unparse(d) for d in node.decorator_list for kind in ("command", "group"))]
+    assert {c.name for c in commands} >= {"world_gen", "world_validate", "dataset", "score", "calc", "verify"}
+    for command in commands:
+        caught = [ast.unparse(h.type) for node in ast.walk(command) if isinstance(node, ast.Try) for h in node.handlers]
+        assert caught == (["DegenerateDenominator"] if command.name == "score" else []), command.name
+    converters = {
+        top.name
+        for top in tree.body
+        for handler in ast.walk(top) if isinstance(handler, ast.ExceptHandler)
+        for node in ast.walk(handler)
+        if isinstance(node, ast.Raise) and node.exc is not None and "UsageError" in ast.unparse(node.exc)
+    }
+    assert converters == {"_OneLineErrors"}
+
+
+@pytest.mark.parametrize(
+    "error, exit_code, output",
+    [(OSError(errno.ENOSPC, "No space left on device"), 2, f"Error: [Errno {errno.ENOSPC}] No space left on device\n"),
+     (BrokenPipeError(errno.EPIPE, "Broken pipe"), 1, "")],
+    ids=["no-file-name", "closed-stdout"],
+)
+def test_os_errors_without_a_file(runner, monkeypatch, tmp_path, error, exit_code, output):
+    """An OSError that names no file still exits 2 with one line; a closed
+    stdout is left to click, which exits 1 and prints nothing."""
+    def fail(*args):
+        raise error
+    monkeypatch.setattr(cli, "save_world", fail)
+    res = runner.invoke(main, ["world", "gen", "--out", str(tmp_path / "w.json")])
+    assert (res.exit_code, res.output) == (exit_code, output)
 
 
 def test_score_world_with_non_integer_gen_exits_two(runner, tmp_path):

@@ -23,6 +23,8 @@ def test_out_of_range_index_rejected():
         IndexSet.of([4], 3)
     with pytest.raises(ArityMismatch):
         IndexSet(2, 0b100)
+    with pytest.raises(ArityMismatch, match="negative arity"):
+        IndexSet(-1, 0)
 
 
 def test_nuisance_index_is_n_plus_one():

@@ -121,6 +121,18 @@ def test_complement_identity_exact():
 def test_arity_mismatch_rejected(world22, xor_model):
     with pytest.raises(ArityMismatch):
         raw_consistency(gen_target(xor_model), IndexSet.of([1], 3))
+    with pytest.raises(ArityMismatch):
+        normalized_consistency(gen_target(xor_model), IndexSet.of([1], 3), mode="mc", samples=10)
+
+
+@pytest.mark.parametrize(
+    "direction, model, message",
+    [("sideways", "xor_model", "unknown direction"), (GENERATOR_BASED, "world22", "cannot evaluate a DiscreteWorld")],
+    ids=["direction", "world-not-model"],
+)
+def test_evaluation_target_rejects_bad_direction_or_object(request, direction, model, message):
+    with pytest.raises(MetricError, match=message):
+        EvaluationTarget(direction, request.getfixturevalue(model))
 
 
 # -- normalized scores ------------------------------------------------------------------

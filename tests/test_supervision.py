@@ -53,6 +53,24 @@ def test_rank_requires_single_index():
         spec("rank-pairing", 1, 2)
 
 
+@pytest.mark.parametrize(
+    "kind, indices, message",
+    [("bogus", (1,), "unknown supervision kind"),
+     ("share-pairing", (), "needs at least one factor index"),
+     ("change-pairing", (), "needs at least one factor index")],
+    ids=["unknown-kind", "share-no-index", "change-no-index"],
+)
+def test_invalid_spec_rejected(kind, indices, message):
+    with pytest.raises(SupervisionError, match=message):
+        SupervisionSpec(kind, indices)
+
+
+def test_exact_table_needs_a_discrete_object():
+    _, cand = rotation_world()
+    with pytest.raises(SupervisionError, match="exact tables need a discrete world or model"):
+        augmented_table(cand, spec("share-pairing", 1))
+
+
 def test_rank_requires_ordered_factor(world22):
     w = uniform_world((2, 2))
     unordered = type(w)(w.cards, w.prior, w.gen, ordered=(True, False))
@@ -304,9 +322,10 @@ HEADER = b'{"format": "disentlab-dataset"}\n'
         HEADER + b"[1\n2]\n3, 4\n",  # joined, the lines would parse as one array
         HEADER + b'{"x": 1} x\n',
         HEADER + b"\n",
+        b"",
     ],
     ids=["header-array", "header-not-json", "record-not-json", "not-utf8",
-         "records-only-valid-joined", "record-trailing-garbage", "record-empty"],
+         "records-only-valid-joined", "record-trailing-garbage", "record-empty", "empty-file"],
 )
 def test_dataset_rejects_malformed_lines(tmp_path, data):
     path = tmp_path / "bad.jsonl"

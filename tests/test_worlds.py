@@ -59,6 +59,37 @@ def test_arity_mismatch():
         DiscreteWorld((2, 2), [0.25] * 4, [0, 1, 2, 3], ordered=[True])
 
 
+@pytest.mark.parametrize(
+    "cards, prior, gen, error",
+    [
+        ((), [1.0], [0], ArityMismatch),
+        ((2, 0), [], [], ArityMismatch),
+        ((2,), [1.5, -0.5], [0, 1], NonNormalizedPrior),
+        ((2,), [float("nan"), 1.0], [0, 1], NonNormalizedPrior),
+        ((2,), [0.5, 0.5], [0, -1], NonInjectiveGenerator),
+    ],
+    ids=["no-factors", "zero-cardinality", "negative-prior", "nan-prior", "negative-id-on-support"],
+)
+def test_invalid_world_rejected(cards, prior, gen, error):
+    with pytest.raises(error):
+        DiscreteWorld(cards, prior, gen)
+
+
+@pytest.mark.parametrize(
+    "world, latents",
+    [(uniform_world((2, 2)), [[-1, 0], [1, -2]]),
+     (schematic_world("zigzag-violation")[0], [[0, 1, 0]]),
+     (uniform_world((2, 2)), [[2, 0]])],
+    ids=["negative", "zero-mass", "out-of-range"],
+)
+def test_world_observe_rejects_tuples_off_the_support(world, latents):
+    """g* is defined on the support only: a negative value must not wrap
+    round to a valid id, a zero-mass tuple must not read the -1 filler and a
+    value past its cardinality must not raise a bare IndexError."""
+    with pytest.raises(ZeroMassConditioning):
+        world.observe(np.array(latents))
+
+
 # -- conditional resampling ----------------------------------------------------
 
 
@@ -125,6 +156,8 @@ def test_random_world_deterministic_in_seed():
 def test_random_world_support_cap():
     with pytest.raises(SupportTooLarge):
         random_world(0, 4, [9, 9, 9, 9], 0.0)
+    with pytest.raises(ArityMismatch, match="cardinalities >= 2"):
+        random_world(0, 2, [1, 2], 0.0)
 
 
 # -- zig-zag connectivity -----------------------------------------------------------
@@ -305,6 +338,8 @@ def test_zigzag_staircase_support(cut):
 def test_candidate_requires_permutation(world22):
     with pytest.raises(WorldError):
         CandidateModel(world22, [0, 0, 1, 2])
+    with pytest.raises(WorldError, match="perm entry out of range"):
+        CandidateModel(world22, [2**64, 0, 1, 2])
 
 
 def test_pushforward_observation_distribution_matches():
@@ -425,13 +460,22 @@ def test_world_doc_round_trip(tmp_path):
     assert json.loads(path.read_text())["prior"] == [float(v) for v in w.prior.reshape(-1)]
 
 
-def test_world_doc_malformed():
+def test_world_doc_malformed(tmp_path):
     with pytest.raises(WorldError):
         world_from_doc({"version": 1, "n": 2})
     with pytest.raises(WorldError):
         world_from_doc({"version": 99, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]})
     with pytest.raises(ArityMismatch):
         world_from_doc({"version": 1, "n": 2, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]})
+    with pytest.raises(WorldError, match="prior must be an array of numbers"):
+        world_from_doc({"version": 1, "n": 1, "cards": [2], "prior": ["a", 0.5], "gen": [0, 1]})
+    for prior, gen in (([1.0], [0, 1]), ([0.5, 0.5], [0])):
+        with pytest.raises(WorldError, match="must have 2 entries"):
+            world_from_doc({"version": 1, "n": 1, "cards": [2], "prior": prior, "gen": gen})
+    path = tmp_path / "w.json"
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(WorldError, match="not valid JSON"):
+        load_world(path)
 
 
 @pytest.mark.parametrize("gen", [[0, "a"], [0, 1.5], [0, None], [0, True], "01"])
