@@ -31,6 +31,8 @@ MC_GOLDEN = {
     "gen-sparse/restrictiveness": ("0x0.0p+0", "0x1.3a5119ce075f7p+0", "0x1.0000000000000p+0"),
     "gen/consistency": ("0x1.e37b4a2339c0fp-2", "0x1.27a43fe5c91d1p+0", "0x1.2eac654e0ffb8p-1"),
     "gen/restrictiveness": ("0x1.f573eab367a10p-2", "0x1.f4a2339c0ebeep-2", "-0x1.acf4024dcf800p-10"),
+    "rot-enc-angle/consistency": ("0x0.0p+0", "0x1.abddb2f301058p+2", "0x1.0000000000000p+0"),
+    "rot-enc-angle/restrictiveness": ("0x1.fc7a26abb6714p-1", "0x1.fe54c3b45add6p-1", "0x1.dc2a5e0d2cf00p-9"),
     "rot-enc/consistency": ("0x1.01249137a4b67p-1", "0x1.ffcbf27999d60p-2", "-0x1.3eb861fd17800p-8"),
     "rot-enc/restrictiveness": ("0x1.ffecd9edaac74p-3", "0x1.cbab8c41f2c3dp+2", "0x1.ee2e5e59fe2e8p-1"),
     "rot-gen/consistency": ("0x0.0p+0", "0x1.abddb2f301058p+2", "0x1.0000000000000p+0"),
@@ -105,6 +107,16 @@ MATCH_NULL_GOLDEN = {
     "share:2": ("0x1.bf5f57d29a842p-14", "0x1.460cbc7f5cf9ap-8"),
 }
 
+# The two rotation checks of ``run_counterexample_suite(seed=0, samples=20000)``:
+# the match check's p-value, the unrestricted check's restrictiveness score
+# and its detail text.
+SUITE_ROTATION_GOLDEN = {
+    "rotation-distribution-match": ("0x1.978feb9f34381p-4", ""),
+    "rotation-consistent-unrestricted": (
+        "0x1.f5310e689f3c0p-7", "consistency=1.0000+-0.0000 restrictiveness=0.0153+-0.0091"
+    ),
+}
+
 SPECS = ("label:1,2", "share:1", "change:2", "rank:2")
 
 
@@ -128,6 +140,7 @@ def mc_targets():
         "enc-sparse": (EvaluationTarget.encoder_based(sparse), (1, 3)),
         "rot-gen": (EvaluationTarget.generator_based(rot), (1,)),
         "rot-enc": (EvaluationTarget.encoder_based(rot), (2,)),
+        "rot-enc-angle": (EvaluationTarget.encoder_based(rot), (1,)),
     }
 
 
@@ -182,3 +195,9 @@ def test_match_statistics_golden(text):
     assert result.statistic.hex() == MATCH_STAT_GOLDEN[text]
     assert (result.threshold.hex(), result.p_value.hex()) == MATCH_NULL_GOLDEN[text]
     assert metrics.mc_match_check(rot, oracle, spec, seed=0, samples=20000) == result
+
+
+def test_counterexample_suite_rotation_golden():
+    checks = {c.name: c for c in verify.run_counterexample_suite(seed=0, samples=20000).checks}
+    for name, (statistic, detail) in SUITE_ROTATION_GOLDEN.items():
+        assert (checks[name].statistic.hex(), checks[name].detail) == (statistic, detail), name
