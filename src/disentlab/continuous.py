@@ -26,10 +26,7 @@ class DiskRotationWorld:
     ordered: ClassVar[tuple[bool, ...]] = (True, True, True)
 
     def sample_latents(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        out = np.empty((m, 3))
-        out[:, 0] = rng.uniform(0.0, TWO_PI, m)
-        _sample_disk(rng, out[:, 1:])
-        return out
+        return _redraw(rng, np.empty((m, 3)), {0, 1, 2})
 
     def resample_latents(self, rng, latents: np.ndarray, resample_cols: Sequence[int]) -> np.ndarray:
         """Redraw the given coordinates from their exact conditional.
@@ -41,19 +38,7 @@ class DiskRotationWorld:
         cols = set(resample_cols)
         if not cols <= {0, 1, 2}:
             raise WorldError(f"coordinates {sorted(cols)} outside this world's arity")
-        out = np.asarray(latents, dtype=float).copy()
-        m = len(out)
-        if 0 in cols:
-            out[:, 0] = rng.uniform(0.0, TWO_PI, m)
-        if {1, 2} <= cols:
-            _sample_disk(rng, out[:, 1:])
-        elif 1 in cols:
-            half = np.sqrt(np.maximum(0.0, 1.0 - out[:, 2] ** 2))
-            out[:, 1] = rng.uniform(-half, half)
-        elif 2 in cols:
-            half = np.sqrt(np.maximum(0.0, 1.0 - out[:, 1] ** 2))
-            out[:, 2] = rng.uniform(-half, half)
-        return out
+        return _redraw(rng, np.asarray(latents, dtype=float).copy(), cols)
 
     def observe(self, latents: np.ndarray) -> np.ndarray:
         """g* is the identity: observations are the factor vectors."""
@@ -90,12 +75,27 @@ def rotation_world() -> tuple[DiskRotationWorld, RotationCandidate]:
     return world, RotationCandidate(world)
 
 
-def _sample_disk(rng: np.random.Generator, out: np.ndarray):
-    """Fill the (m, 2) array ``out`` with m points uniform on the unit disk."""
-    radii = np.sqrt(rng.uniform(0.0, 1.0, len(out)))
-    theta = rng.uniform(0.0, TWO_PI, len(out))
-    np.multiply(radii, np.cos(theta), out=out[:, 0])
-    np.multiply(radii, np.sin(theta), out=out[:, 1])
+def _redraw(rng: np.random.Generator, out: np.ndarray, cols: set, disk: bool = True) -> np.ndarray:
+    """Redraw the 0-based coordinates ``cols`` of the (m, 3) latents ``out``
+    in place and return it: the angle first, then the disk point (radius and
+    angle uniforms) or one coordinate on its chord.  With ``disk`` false the
+    same uniforms are drawn in the same order but the disk coordinates are
+    left unset, skipping the sqrt, cos and sin, for draws of the angle alone."""
+    m = len(out)
+    if 0 in cols:
+        out[:, 0] = rng.uniform(0.0, TWO_PI, m)
+    if not disk:
+        rng.random(m * len(cols & {1, 2}))
+    elif {1, 2} <= cols:
+        radii = np.sqrt(rng.uniform(0.0, 1.0, m))
+        theta = rng.uniform(0.0, TWO_PI, m)
+        np.multiply(radii, np.cos(theta), out=out[:, 1])
+        np.multiply(radii, np.sin(theta), out=out[:, 2])
+    elif cols & {1, 2}:
+        (c,) = cols & {1, 2}
+        half = np.sqrt(np.maximum(0.0, 1.0 - out[:, 3 - c] ** 2))
+        out[:, c] = rng.uniform(-half, half)
+    return out
 
 
 def _rotate(z, sign: float) -> np.ndarray:

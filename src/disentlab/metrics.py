@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .calculus import Fact
-from .continuous import DiskRotationWorld, RotationCandidate
+from .continuous import DiskRotationWorld, RotationCandidate, _redraw
 from .errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 from .indexset import IndexSet
 from .supervision import SupervisionSpec, sample_features
@@ -118,20 +118,28 @@ class EvaluationTarget:
             return m.support, m.probs, m.mapped, m.cards
         return m.support, m.base.support_probs, m.support[m.inv_perm], m.cards
 
-    def mc_parts(self):
-        """(sample, resample, measure) for Monte-Carlo mode: ``sample(rng, k)``
-        draws a batch of k latents from the prior, ``resample(rng, batch,
-        cols)`` redraws their 0-based coordinates ``cols`` from the exact
-        conditional, and ``measure(batch, cols)`` gives the measured factors
-        ``cols``, one row per factor.  Discrete batches hold support rows."""
-        m = self.model
+    def mc_parts(self, cols):
+        """(sample, resample, measure) for Monte-Carlo mode, built for the
+        0-based measured factors ``cols``: ``sample(rng, k)`` draws a batch of
+        k latents from the prior, ``resample(rng, batch, rcols)`` redraws
+        their coordinates ``rcols`` from the exact conditional, and
+        ``measure(batch)`` gives the factors ``cols``, one row per factor.
+        Discrete batches hold support rows, drawn through one guide table.  A
+        rotation score that reads the angle alone (``phi`` and ``phi_inverse``
+        copy it) draws the same uniforms but skips the disk's trig."""
+        m, cols = self.model, list(cols)
         if self.is_discrete:
             _, probs, measured, _ = self.exact_view()
+            measured = measured.T[cols]
             return (lambda rng, k: _draw_rows(rng, probs, k),
-                    lambda rng, rows, cols: _resample_rows(rng, m.base, probs, rows, cols),
-                    lambda rows, cols: measured.T[cols].take(rows, axis=1))
+                    lambda rng, rows, rcols: _resample_rows(rng, m.base, probs, rows, rcols),
+                    lambda rows: measured.take(rows, axis=1))
+        if cols == [0]:
+            return (lambda rng, k: _redraw(rng, np.empty((k, 3)), {0, 1, 2}, disk=False),
+                    lambda rng, z, rcols: _redraw(rng, z.copy(), set(rcols), disk=False),
+                    lambda z: z[:, cols].T)
         sampler, phi = (m, m.phi) if self.direction == GENERATOR_BASED else (m.base, m.phi_inverse)
-        return sampler.sample_latents, sampler.resample_latents, lambda z, cols: phi(z)[:, cols].T
+        return sampler.sample_latents, sampler.resample_latents, lambda z: phi(z)[:, cols].T
 
 
 # -- exact engine ----------------------------------------------------------------
@@ -274,10 +282,10 @@ def _mc_pairs(target, I: IndexSet, samples: int):
     if samples < 1:
         raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
     cols, resample_cols = I.cols(), I.complement().cols()
-    sample, resample, measure = target.mc_parts()
+    sample, resample, measure = target.mc_parts(cols)
 
     def distance(z, z2):
-        a, b = measure(z, cols), measure(z2, cols)
+        a, b = measure(z), measure(z2)
         if target.is_discrete:
             return (a != b).sum(axis=0, dtype=float)
         return ((a - b) ** 2).sum(axis=0)
@@ -423,9 +431,9 @@ def mig(
     else:
         if samples < 1:
             raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
-        sample, _, measure = target.mc_parts()
+        sample, _, measure = target.mc_parts(range(n))
         z = sample(np.random.default_rng(seed), samples)
-        s = measure(z, list(range(n)))
+        s = measure(z)
         latents = np.column_stack([_equal_mass_bins(z[:, j], bins) for j in range(n)])
         measured = np.column_stack([_equal_mass_bins(s[k], bins) for k in range(n)])
         weights, cards, mode = np.full(samples, 1.0 / samples), (bins,) * n, "mc"
@@ -539,14 +547,17 @@ def _null_blocks(rng, counts: np.ndarray, half: int, draws: int):
     (draws, cells) blocks.  A fair coin per record (a popcount of the cell's
     random bits, its last word masked) picks a uniform subset given its size
     K; |K - half| records drawn uniformly from the side that holds too many
-    then cross over, so the counts are exactly multivariate hypergeometric."""
+    then cross over, so the counts are exactly multivariate hypergeometric.
+    The words come straight from the bit generator: ``mc_match_check``
+    builds ``rng`` with ``default_rng``, so it is PCG64, whose raw words are
+    those of ``rng.integers(2**64, dtype=np.uint64)``."""
     words = -(-counts // 64)
     starts = np.cumsum(words) - words
     mask = np.full(words.sum(), ~np.uint64(0))
     mask[starts + words - 1] >>= (64 * words - counts).astype(np.uint64)
     step = max(1, _NULL_BLOCK_WORDS // len(mask))
     for done in range(0, draws, step):
-        bits = rng.integers(2**64, size=(min(step, draws - done), len(mask)), dtype=np.uint64) & mask
+        bits = rng.bit_generator.random_raw(min(step, draws - done) * len(mask)).reshape(-1, len(mask)) & mask
         pops = np.bitwise_count(bits)  # a segment sum costs per cell, so cells of one word skip it
         first = pops.astype(np.int64) if len(mask) == len(counts) else np.add.reduceat(pops, starts, 1, np.int64)
         excess = first.sum(axis=1) - half

@@ -442,9 +442,26 @@ def schematic_world(kind: str) -> tuple[DiscreteWorld, CandidateModel]:
 
 
 def _draw_rows(rng: np.random.Generator, probs: np.ndarray, m: int) -> np.ndarray:
+    """m i.i.d. indices into ``probs`` by inverse CDF: one uniform each, in order."""
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(m), side="right")
+    return _guide_rows(cum, rng.random(m))
+
+
+def _guide_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="right")`` for a nondecreasing ``cum``
+    ending at 1 and ``u`` in [0, 1), by guide table (Chen & Asau 1974): with K
+    the least power of two >= 4 len(cum), the search starts at the count of
+    ``cum`` entries <= floor(u K) / K and steps while ``cum[idx] <= u``.
+    Scaling by a power of two is exact, so the start never passes the answer,
+    and a draw takes about one step whatever the table's size."""
+    k = 1 << (4 * len(cum) - 1).bit_length()
+    idx = np.searchsorted(cum, np.arange(k) / k, side="right")[(u * k).astype(np.intp)]
+    live = np.flatnonzero(cum[idx] <= u)
+    while len(live):
+        idx[live] += 1
+        live = live[cum[idx[live]] <= u[live]]
+    return idx
 
 
 def _resample_rows(rng, world: DiscreteWorld, probs, rows: np.ndarray, resample_cols) -> np.ndarray:

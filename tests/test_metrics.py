@@ -33,6 +33,7 @@ from disentlab.errors import ArityMismatch, DegenerateDenominator, MetricError, 
 from disentlab.supervision import sample_features
 from reference_match import permutation_null
 from reference_mig import exact_rows, mc_rows, reference_gaps
+from reference_sampler import rotation_chunks
 
 
 def gen_target(model):
@@ -295,6 +296,43 @@ def test_rotation_encoder_direction_mirrors_generator():
     r = normalized_restrictiveness(target, I1, mode="mc", samples=30000, seed=0)
     assert c.score >= 0.99
     assert r.score < 0.5
+
+
+def _chunks_with_states(fn, seq):
+    """Deviations of two full chunks and one partial, seeded as the MC engine
+    seeds them, and the generator state after each chunk."""
+    devs, states = [], []
+    for s, size in zip(seq.spawn(3), (metrics.MC_CHUNK, metrics.MC_CHUNK, 100)):
+        rng = np.random.default_rng(s)
+        devs.append(fn(rng, size))
+        states.append(rng.bit_generator.state)
+    return np.concatenate(devs), states
+
+
+@pytest.mark.parametrize("direction", [GENERATOR_BASED, ENCODER_BASED])
+def test_rotation_pairs_equal_full_trig_reference(direction):
+    """For every set of measured columns, the rotation engine's pair chunks
+    give the deviations of the full-trig sampler and leave the generator in
+    its state after every chunk, angle-only sets included; the scores, their
+    parts and standard errors are the reference's, float for float."""
+    _, cand = rotation_world()
+    target, samples = EvaluationTarget(direction, cand), 2 * metrics.MC_CHUNK + 100
+    for bits in range(1 << 3):
+        I = IndexSet(3, bits)
+        runs = [
+            [_chunks_with_states(fn, seq) for fn, seq in zip(fns, np.random.SeedSequence(bits).spawn(2))]
+            for fns in (metrics._mc_pairs(target, I, samples), rotation_chunks(direction, I))
+        ]
+        for (got, got_states), (want, want_states) in zip(*runs):
+            assert got.tobytes() == want.tobytes() and got_states == want_states, (I, got[:3], want[:3])
+        if not bits:
+            continue  # nothing measured: a zero denominator
+        (num, _), (den, _) = runs[1]
+        want = [(1.0 - num.mean() / den.mean()).hex(), metrics._ratio_std_error(num, den).hex()]
+        for rep in (normalized_consistency(target, I, "mc", samples, bits),
+                    normalized_restrictiveness(target, I.complement(), "mc", samples, bits)):
+            assert [rep.numerator.hex(), rep.denominator.hex()] == [num.mean().hex(), den.mean().hex()]
+            assert [rep.score.hex(), rep.std_error.hex()] == want, I
 
 
 # -- holds ------------------------------------------------------------------------------------
@@ -728,6 +766,20 @@ def test_null_splits_moments_equal_numpy_hypergeometric():
     var_got, var_ref = got.var(axis=0, ddof=1), ref.var(axis=0, ddof=1)
     assert np.all(np.abs(got.mean(axis=0) - ref.mean(axis=0)) <= 4.5 * np.sqrt((var_got + var_ref) / draws))
     assert np.all(np.abs(var_got / var_ref - 1) <= 4.5 * np.sqrt(4 / draws))
+
+
+def test_null_words_are_the_generator_integers():
+    """The null reads its words with ``random_raw``.  On a ``default_rng``
+    (PCG64) they are the words of ``integers(2**64, dtype=np.uint64)``, and
+    the generator state after the draw is the same, a buffered 32-bit half
+    word included."""
+    for k, w in ((1, 3288), (7, 5), (0, 4)):
+        ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+        for rng in (ours, theirs):
+            rng.integers(5, size=k)  # bounded draws that may leave a half word buffered
+        words = ours.bit_generator.random_raw(k * w).reshape(k, w)
+        assert np.array_equal(words, theirs.integers(2**64, size=(k, w), dtype=np.uint64))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("count, half", [(5, 0), (5, 3), (5, 5), (64, 32), (65, 64), (130, 65)])

@@ -23,6 +23,8 @@ from disentlab.errors import (
 )
 from disentlab.verify import check_assumptions
 from disentlab.worlds import (
+    _draw_rows,
+    _guide_rows,
     _resample_rows,
     load_world,
     mutual_information,
@@ -124,6 +126,47 @@ def test_resample_rows_equals_per_group_table_loop(shape, batch):
             assert np.array_equal(world.support[_resample_rows(ours, world, probs, rows, cols)], want)
             assert np.array_equal(obj.resample_latents(public, world.support[rows], cols), want)
             assert ours.bit_generator.state == theirs.bit_generator.state == public.bit_generator.state
+
+
+def _row_tables():
+    """Probability tables over support rows: one row, tied cumulative sums
+    (zero entries, and a mass too small to move its sum), and 300 random
+    tables of 1 to 39 rows, some with most of their rows nearly massless."""
+    rng = np.random.default_rng(0)
+    tables = [np.array([1.0]), np.array([0.25, 0.0, 0.0, 0.5, 0.0, 0.25]), np.array([0.0, 0.5, 0.5]),
+              np.array([0.5, 1e-20, 0.5 - 1e-20])]
+    for _ in range(300):
+        tables.append(rng.dirichlet(np.full(int(rng.integers(1, 40)), rng.choice([0.05, 1.0, 5.0]))))
+    return tables
+
+
+def test_guide_rows_equal_binary_search():
+    """The guide-table index of each uniform is searchsorted's, on uniforms
+    at 0, at every b/1024 (each table's guide boundaries b/K among them,
+    since K <= 256 here) and just below each, at and just below each
+    cumulative sum, and at random."""
+    grid = np.arange(1024) / 1024
+    for probs in _row_tables():
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        assert 4 * len(cum) <= 256
+        u = np.concatenate([grid, np.nextafter(grid[1:], 0), [np.nextafter(1.0, 0)], cum[:-1],
+                            np.nextafter(cum, 0), np.random.default_rng(len(cum)).random(500)])
+        u = u[(0 <= u) & (u < 1)]
+        assert np.array_equal(_guide_rows(cum, u), np.searchsorted(cum, u, side="right")), probs
+
+
+@pytest.mark.parametrize("batch", [0, 1, 8192])
+def test_draw_rows_equals_binary_search_draw(batch):
+    """Drawn rows and the generator state after the draw equal those of a
+    binary search over the same uniforms."""
+    for t, probs in enumerate(_row_tables()[:40]):
+        ours, theirs = np.random.default_rng(t), np.random.default_rng(t)
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        want = np.searchsorted(cum, theirs.random(batch), side="right")
+        assert np.array_equal(_draw_rows(ours, probs, batch), want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # -- random worlds --------------------------------------------------------------
