@@ -161,15 +161,15 @@ def world():
 
 @world.command("gen")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--n", "n_factors", type=int, default=2, show_default=True)
-@click.option("--cards", type=_Ints(), default="2,2", show_default=True, help="Comma-separated cardinalities.")
+@click.option("--cards", type=_Ints(), default="2,2", show_default=True,
+              help="Comma-separated cardinalities, one per factor.")
 @click.option("--corr", default=0.0, show_default=True, help="Factor correlation strength in [0,1].")
 @click.option("--schematic", type=click.Choice(SCHEMATIC_KINDS), default=None,
               help="Emit a named schematic world instead of a random one.")
 @click.option("--out", "-o", type=click.Path(), default=None, help="Output file (default stdout).")
-def world_gen(seed, n_factors, cards, corr, schematic, out):
+def world_gen(seed, cards, corr, schematic, out):
     """Write a world-spec document."""
-    w = schematic_world(schematic)[0] if schematic else random_world(seed, n_factors, cards, corr)
+    w = schematic_world(schematic)[0] if schematic else random_world(seed, len(cards), cards, corr)
     if out:
         save_world(w, out)
         click.echo(f"wrote {out}")
@@ -183,8 +183,6 @@ def world_validate(path):
     """Run the assumption report on a world file (warnings do not fail)."""
     w, _ = path
     report = check_assumptions(w)
-    click.echo(f"injective generator: {report.injective}")
-    click.echo(f"encoder inverts generator: {report.encoder_inverts}")
     for a, b in report.zigzag_failures:
         click.echo(f"warning: support not zig-zag connected for I={list(a)} J={list(b)}")
     click.echo("ok" if report.ok else "assumption warnings present")

@@ -36,6 +36,7 @@ ENCODER_BASED = "encoder"
 
 DEGENERACY_THRESHOLD = 1e-9
 EXACT_TOL = 1e-12
+MIG_BINS = 20  # equal-mass bins per continuous coordinate in MC ``mig``
 MC_CHUNK = 8192
 EXACT_CHUNK = 1024  # models per exact-engine pass: at most 1024 m x pairs bins per array
 
@@ -242,14 +243,14 @@ def _fact_verdicts(raw, facts, tol: float) -> np.ndarray:
     return ok[..., 0] if single else ok
 
 
-def generator_holds(world, perms, facts, tol: float = EXACT_TOL) -> np.ndarray:
+def generator_holds(world, perms, facts) -> np.ndarray:
     """Exact verdicts for the generator-based targets of the models with
     bijections ``perms`` (..., m), from one engine call: for one fact entry
     i, and for a list of facts row i (shape (..., F)), equals ``holds`` on
-    ``CandidateModel(world, perms[i])``."""
+    ``CandidateModel(world, perms[i])`` at ``EXACT_TOL``."""
     perms = np.asarray(perms, dtype=np.int64)
     view = world.support, world.support_probs[perms], world.support[perms], world.cards
-    return _fact_verdicts(lambda sets: _exact_stats(*view, sets)[0], facts, tol)
+    return _fact_verdicts(lambda sets: _exact_stats(*view, sets)[0], facts, EXACT_TOL)
 
 
 def raw_consistency(target: EvaluationTarget, I: IndexSet) -> float:
@@ -413,16 +414,16 @@ def _entropy(p: np.ndarray) -> float:
 
 def mig(
     target: EvaluationTarget,
-    bins: int = 20,
+    *,
     samples: int = 10000,
     seed: int = 0,
 ) -> MigReport:
     """Discretized mutual information gap of the latent-to-factor alignment.
 
     Discrete targets use the exact joint of (latent j, measured factor k);
-    continuous targets discretize samples into equal-mass bins first, each
-    sample weighing 1/samples.  A factor whose values (or bins) put all
-    mass on one raises ZeroEntropyFactor.
+    continuous targets discretize samples into ``MIG_BINS`` equal-mass bins
+    first, each sample weighing 1/samples.  A factor whose values (or bins)
+    put all mass on one raises ZeroEntropyFactor.
     """
     n = target.n
     if target.is_discrete:
@@ -434,9 +435,9 @@ def mig(
         sample, _, measure = target.mc_parts(range(n))
         z = sample(np.random.default_rng(seed), samples)
         s = measure(z)
-        latents = np.column_stack([_equal_mass_bins(z[:, j], bins) for j in range(n)])
-        measured = np.column_stack([_equal_mass_bins(s[k], bins) for k in range(n)])
-        weights, cards, mode = np.full(samples, 1.0 / samples), (bins,) * n, "mc"
+        latents = np.column_stack([_equal_mass_bins(z[:, j], MIG_BINS) for j in range(n)])
+        measured = np.column_stack([_equal_mass_bins(s[k], MIG_BINS) for k in range(n)])
+        weights, cards, mode = np.full(samples, 1.0 / samples), (MIG_BINS,) * n, "mc"
     gaps = []
     for k in range(n):
         marginal = joint_table(measured[:, k], 0, weights, cards[k], 1)[:, 0]
@@ -505,10 +506,10 @@ def mc_match_check(
     a test at significance level 0.01.  The statistic depends only on cell
     counts, so a random permutation of the pooled records is drawn as the
     split of the pooled counts it makes, exactly, in blocks of draws (see
-    ``_null_blocks``).  The oracle is any disk-rotation world, the rotation
-    candidate included; the test is symmetric in its samples.
+    ``_null_blocks``).  Model and oracle are any disk-rotation worlds, the
+    rotation candidate included; the test is symmetric in its samples.
     """
-    if not isinstance(oracle, DiskRotationWorld):
+    if not (isinstance(model, DiskRotationWorld) and isinstance(oracle, DiskRotationWorld)):
         raise MetricError("mc_match_check compares samplers of a continuous world")
     if samples < 1:
         raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")

@@ -49,8 +49,9 @@ _c_facts = cache(lambda n: tuple(Fact("C", IndexSet(n, bits)) for bits in range(
 # -- independent brute-force oracle ------------------------------------------------
 
 
-def check_fact_brute(world: DiscreteWorld, model: CandidateModel, fact: Fact, tol: float = FACT_TOL) -> bool:
-    """Evaluate a generator-based C/R/D fact by direct enumeration.
+def check_fact_brute(world: DiscreteWorld, model: CandidateModel, fact: Fact) -> bool:
+    """Evaluate a generator-based C/R/D fact by direct enumeration, zero
+    within ``FACT_TOL``.
 
     This is a second implementation of the defining expectations, written
     as plain dictionary loops so it shares no code with the metrics path.
@@ -67,10 +68,10 @@ def check_fact_brute(world: DiscreteWorld, model: CandidateModel, fact: Fact, to
     cols = [i - 1 for i in sorted(members)]
     rest = [i - 1 for i in range(1, world.n + 1) if i not in members]
     if fact.kind == "C":
-        return _brute_consistency_dev(q, phi, cols) <= tol
+        return _brute_consistency_dev(q, phi, cols) <= FACT_TOL
     if fact.kind == "R":
-        return _brute_consistency_dev(q, phi, rest) <= tol
-    return _brute_consistency_dev(q, phi, cols) <= tol and _brute_consistency_dev(q, phi, rest) <= tol
+        return _brute_consistency_dev(q, phi, rest) <= FACT_TOL
+    return _brute_consistency_dev(q, phi, cols) <= FACT_TOL and _brute_consistency_dev(q, phi, rest) <= FACT_TOL
 
 
 def _brute_consistency_dev(q, phi, cols) -> float:
@@ -322,31 +323,23 @@ def run_counterexample_suite(seed: int = 0, samples: int = 50000) -> Verificatio
 
 @dataclass
 class AssumptionReport:
-    injective: bool
-    encoder_inverts: bool
     zigzag_failures: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
     @property
     def ok(self) -> bool:
-        return self.injective and self.encoder_inverts and not self.zigzag_failures
+        return not self.zigzag_failures
 
 
 def check_assumptions(world: DiscreteWorld) -> AssumptionReport:
-    """Recoverability and connectivity report for a world.
-
-    Checks generator injectivity on the support, exact inversion by the
-    derived encoder, and zig-zag connectivity over all pairs of index sets
-    of one or two factors.
+    """Connectivity report for a world: zig-zag connectivity over all pairs
+    of index sets of one or two factors.  The other assumption, a generator
+    injective on the support, is checked when a ``DiscreteWorld`` is built.
     """
-    support = world.support
-    ids = world.gen[tuple(support.T)]
-    injective = len(np.unique(ids)) == len(ids)
-    encoder_inverts = bool(np.array_equal(world.encode_rows(ids), np.arange(len(support))))
     sets = [IndexSet.of(s, world.n) for size in (1, 2) for s in _combinations(range(1, world.n + 1), size)]
-    connected = zigzag_connectivity(support)
+    connected = zigzag_connectivity(world.support)
     failures = [(I.members(), J.members()) for I in sets for J in sets
                 if I.members() < J.members() and not connected(I.bits, J.bits)]
-    return AssumptionReport(injective, encoder_inverts, failures)
+    return AssumptionReport(failures)
 
 
 # -- weak-supervision guarantee battery ------------------------------------------------------------

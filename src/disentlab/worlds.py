@@ -1,9 +1,9 @@
 """Tabular oracle worlds and candidate latent models over finite factor spaces.
 
-A world is a triple (prior over factor tuples, injective generator to
-observation ids, inverse encoder).  A candidate model relabels the factor
-space through a support bijection, which makes its observation distribution
-match the oracle's by construction.
+A world is a prior over factor tuples and a generator to observation ids
+that is injective on the support, so an encoder inverts it.  A candidate
+model relabels the factor space through a support bijection, which makes its
+observation distribution match the oracle's by construction.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class DiscreteWorld:
     """An exact oracle over a finite factor space.
 
     Immutable after construction; every invariant is checked eagerly:
-    the prior normalizes to one, the generator is injective on the
-    support, and the derived encoder inverts it exactly.
+    the prior normalizes to one and the generator is injective on the
+    support, so an encoder inverting it exists.
     """
 
     def __init__(self, cards: Sequence[int], prior, gen, ordered: Sequence[bool] | None = None):
@@ -81,11 +81,7 @@ class DiscreteWorld:
         # dense row index over the factor grid, -1 off the support
         self._row = np.full(cards, -1, dtype=np.int64)
         self._row[mask] = np.arange(len(support))
-        # derived encoder: sorted observation ids and the support row of each
-        self._id_order = np.argsort(ids)
-        self._sorted_ids = ids[self._id_order]
-        for arr in (self.prior, self.gen, self.support, self.support_probs, self.obs_ids,
-                    self._row, self._id_order, self._sorted_ids):
+        for arr in (self.prior, self.gen, self.support, self.support_probs, self.obs_ids, self._row):
             arr.flags.writeable = False
 
     # -- basic queries -----------------------------------------------------
@@ -105,13 +101,6 @@ class DiscreteWorld:
         if np.any(rows < 0):
             raise ZeroMassConditioning(f"tuple {tuple(latents[np.argmin(rows)].tolist())} has zero mass")
         return rows
-
-    def encode_rows(self, obs_ids) -> np.ndarray:
-        """e* over an array: the support row of each observation id, -1 for
-        an id this world does not produce."""
-        obs_ids = np.asarray(obs_ids)
-        i = np.minimum(np.searchsorted(self._sorted_ids, obs_ids), len(self._sorted_ids) - 1)
-        return np.where(self._sorted_ids[i] == obs_ids, self._id_order[i], -1)
 
     # -- distributions -----------------------------------------------------
 
@@ -227,8 +216,8 @@ def random_world(seed: int, n: int, cards: Sequence[int], correlation: float = 0
     cards = tuple(int(k) for k in cards)
     if len(cards) != n:
         raise ArityMismatch(f"n={n} but {len(cards)} cardinalities given")
-    if any(k < 2 for k in cards):
-        raise ArityMismatch(f"random worlds need cardinalities >= 2, got {cards}")
+    if not cards or any(k < 2 for k in cards):
+        raise ArityMismatch(f"random worlds need one or more cardinalities >= 2, got {cards}")
     if not 0.0 <= correlation <= 1.0:
         raise WorldError(f"correlation must lie in [0, 1], got {correlation}")
     size = prod(cards)
@@ -471,6 +460,8 @@ def _resample_rows(rng, world: DiscreteWorld, probs, rows: np.ndarray, resample_
     fixed values draw in lexicographic order of those values, each group's
     rows in batch order."""
     resample_cols = set(resample_cols)
+    if not resample_cols <= set(range(world.n)):
+        raise WorldError(f"coordinates {sorted(resample_cols)} outside this world's arity")
     if not resample_cols:
         return rows.copy()
     ids, count = group_ids(world.support, [c for c in range(world.n) if c not in resample_cols], world.cards)

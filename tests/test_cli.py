@@ -31,16 +31,19 @@ def invoke(runner, *args):
 
 def test_world_gen_and_validate(runner, tmp_path):
     out = tmp_path / "w.json"
-    res = invoke(runner, "world", "gen", "--seed", "1", "--n", "2", "--cards", "2,2", "--out", str(out))
+    res = invoke(runner, "world", "gen", "--seed", "1", "--cards", "2,2", "--out", str(out))
     assert res.exit_code == 0
     res = invoke(runner, "world", "validate", str(out))
-    assert res.exit_code == 0 and "ok" in res.output
+    assert res.exit_code == 0 and res.output == "ok\n"
 
 
 def test_world_gen_stdout_is_parseable(runner):
-    res = invoke(runner, "world", "gen", "--seed", "1", "--n", "2", "--cards", "2,2")
+    res = invoke(runner, "world", "gen", "--seed", "1", "--cards", "2,2")
     doc = json.loads(res.output)
     assert doc["n"] == 2 and len(doc["prior"]) == 4
+    res = invoke(runner, "world", "gen", "--seed", "1", "--cards", "2,3,2")  # one factor per cardinality
+    doc = json.loads(res.output)
+    assert doc["n"] == 3 and doc["cards"] == [2, 3, 2] and len(doc["prior"]) == 12
 
 
 def test_world_gen_deterministic(runner):
@@ -54,7 +57,13 @@ def test_world_validate_zigzag_warning_exits_zero(runner, tmp_path):
     invoke(runner, "world", "gen", "--schematic", "zigzag-violation", "--out", str(out))
     res = invoke(runner, "world", "validate", str(out))
     assert res.exit_code == 0
-    assert "warning" in res.output
+    assert res.output == (
+        "warning: support not zig-zag connected for I=[1] J=[2]\n"
+        "warning: support not zig-zag connected for I=[1] J=[2, 3]\n"
+        "warning: support not zig-zag connected for I=[1, 3] J=[2]\n"
+        "warning: support not zig-zag connected for I=[1, 3] J=[2, 3]\n"
+        "assumption warnings present\n"
+    )
 
 
 def test_world_validate_malformed_exits_two(runner, tmp_path):
@@ -137,7 +146,7 @@ def test_dataset_zero_records_header_only(runner, tmp_path):
 
 def test_score_identity_six_factors(runner, tmp_path):
     w = tmp_path / "w6.json"
-    invoke(runner, "world", "gen", "--seed", "1", "--n", "6", "--cards", "2,2,2,2,2,2",
+    invoke(runner, "world", "gen", "--seed", "1", "--cards", "2,2,2,2,2,2",
            "--out", str(w))
     res = invoke(runner, "score", "--world", str(w), "--kind", "c", "--format", "json")
     records = [json.loads(line) for line in res.output.splitlines()]
@@ -241,6 +250,8 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
     "cards-bool": '{"version": 1, "n": 2, "cards": [true, 2], "prior": [0.5, 0.5], "gen": [0, 1]}',
     "version-bool": '{"version": true, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}',
     "not-utf8": b'\xff{%s, "gen": [0, 1]}' % HALF.encode(),
+    "gen-repeat": '{%s, "gen": [0, 0]}' % HALF,
+    "prior-over": '{"version": 1, "n": 1, "cards": [2], "prior": [0.6, 0.5], "gen": [0, 1]}',
 }
 
 
@@ -290,6 +301,9 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "inspect", "{tmp}/not-utf8.json"],
         ["score", *CNR, "--bijection", str(2**64)],
         ["score", "--world", "rotation", "--bijection", "0,1"],
+        ["world", "validate", "{tmp}/gen-repeat.json"],
+        ["world", "validate", "{tmp}/prior-over.json"],
+        ["world", "gen", "--n", "2"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "tol-negative", "tol-nan", "tol-inf", "model-file-directory",
@@ -301,7 +315,8 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
          "world-cards-float", "world-cards-bool", "world-version-bool", "gen-out-directory",
          "gen-out-missing-dir", "set-arabic-indic-digit", "bijection-arabic-indic-digit",
          "cards-arabic-indic-digit", "spec-arabic-indic-digit", "model-file-missing", "world-not-utf8",
-         "bijection-past-int64", "bijection-on-rotation"],
+         "bijection-past-int64", "bijection-on-rotation", "world-gen-repeat", "world-prior-over",
+         "gen-n-removed"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     for name, text in BAD_WORLDS.items():
@@ -438,7 +453,6 @@ OPTIONS = {
         "--out": st.sampled_from(["out", "dir"]),
     },
     "world gen": {
-        "--n": st.sampled_from(["-1", "0", "1", "2", "3", "x"]),
         "--cards": st.one_of(st.sampled_from(["2,2", "3,2,2", "2", "1,2", "", "2,x", "99999,99999"]), TOKEN),
         "--corr": st.sampled_from(["0", "0.5", "1", "-0.1", "2", "nan", "x"]),
         "--schematic": st.one_of(st.sampled_from(["zigzag-violation", "consistent-not-restrictive"]), TOKEN),

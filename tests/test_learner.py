@@ -221,11 +221,17 @@ def test_matched_set_closed_under_relabeling(world22):
 
 
 def round_trip(world, model):
-    """e* . g . e . g* over the support: g* and e* are the world's
-    ``observe`` and ``encode_rows``, g is the model's ``observe`` and
-    e = phi^-1 . e* reads the latent row off the inverse bijection."""
-    z = model.support[model.inv_perm[world.encode_rows(world.observe(world.support))]]
-    return world.support[world.encode_rows(model.observe(z))]
+    """e* . g . e . g* over the support: g* is the world's ``observe``, e*
+    reads each observation id's support row off ``obs_ids``, g is the
+    model's ``observe`` and e = phi^-1 . e* reads the latent row off the
+    inverse bijection."""
+    encode = {int(v): r for r, v in enumerate(world.obs_ids)}
+
+    def encode_rows(ids):
+        return np.array([encode[int(v)] for v in ids])
+
+    z = model.support[model.inv_perm[encode_rows(world.observe(world.support))]]
+    return world.support[encode_rows(model.observe(z))]
 
 
 def test_informativeness_of_bijections(world22):

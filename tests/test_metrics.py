@@ -512,8 +512,6 @@ def test_verdicts_reject_negative_or_nan_tol(world22, tol):
     for mode in ("exact", "mc"):
         with pytest.raises(MetricError, match="tol must be a nonnegative number"):
             holds(target, fact, tol=tol, mode=mode, samples=10)
-    with pytest.raises(MetricError, match="tol must be a nonnegative number"):
-        metrics.generator_holds(world22, [[0, 1, 2, 3]], fact, tol=tol)
 
 
 def test_holds_mc_draws_only_conditional_pairs(xor_model, monkeypatch):
@@ -566,10 +564,10 @@ def test_mig_zero_entropy_factor(m):
 
 
 def test_mig_mc_zero_entropy_factor():
-    """A measured factor whose samples all fall in one bin."""
+    """A measured factor whose samples all fall in one bin: one sample."""
     _, cand = rotation_world()
     with pytest.raises(ZeroEntropyFactor):
-        mig(gen_target(cand), bins=1, samples=50)
+        mig(gen_target(cand), samples=1)
 
 
 def test_mig_exact_equals_reference_on_share_matched_models():
@@ -593,15 +591,22 @@ def test_mig_exact_equals_reference_on_share_matched_models():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mig_mc_equals_reference_on_rotation(direction, seed):
     _, cand = rotation_world()
-    report = mig(EvaluationTarget(direction, cand), bins=20, samples=3000, seed=seed)
+    report = mig(EvaluationTarget(direction, cand), samples=3000, seed=seed)
     expected = reference_gaps(mc_rows(cand, direction, 20, 3000, seed), (20,) * 3, (20,) * 3)
     assert report.mode == "mc" and report.samples == 3000
     assert np.allclose(report.per_factor, expected, rtol=0.0, atol=1e-12), (report.per_factor, expected)
 
 
+def test_mig_takes_samples_and_seed_by_keyword_only():
+    """A positional count, such as a bin count, cannot bind to ``samples``."""
+    _, cand = rotation_world()
+    with pytest.raises(TypeError):
+        mig(gen_target(cand), 20)
+
+
 def test_mig_mc_binned_on_rotation():
     _, cand = rotation_world()
-    report = mig(gen_target(cand), bins=20, samples=20000, seed=0)
+    report = mig(gen_target(cand), samples=20000, seed=0)
     assert report.mode == "mc"
     # the angle aligns with itself; the rotated disk coordinates do not
     assert report.per_factor[0] > 0.5
@@ -649,6 +654,9 @@ def test_match_check_rotation_share2_fails():
 def test_match_check_needs_continuous_world(world22):
     with pytest.raises(MetricError):
         mc_match_check(CandidateModel.identity(world22), world22, SupervisionSpec("share-pairing", (1,)))
+    oracle, _ = rotation_world()
+    with pytest.raises(MetricError, match="samplers of a continuous world"):
+        mc_match_check(CandidateModel.identity(world22), oracle, SupervisionSpec("restricted-labeling", (1,)))
 
 
 @pytest.mark.parametrize("samples", [0, -5])

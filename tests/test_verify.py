@@ -240,7 +240,6 @@ def test_assumptions_full_grid_world():
 def test_assumptions_zigzag_violation_world():
     world, _ = schematic_world("zigzag-violation")
     report = check_assumptions(world)
-    assert report.injective and report.encoder_inverts
     assert ((1,), (2,)) in report.zigzag_failures
     assert not report.ok
 

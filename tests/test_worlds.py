@@ -38,7 +38,8 @@ def test_uniform_world_is_valid(world22):
     assert world22.support_size == 4
     assert abs(float(world22.prior.sum()) - 1.0) <= 1e-12
     ids = world22.observe(world22.support)
-    assert world22.encode_rows(ids).tolist() == list(range(world22.support_size))
+    encode = {int(v): r for r, v in enumerate(world22.obs_ids)}  # e*: observation id to support row
+    assert [encode[int(v)] for v in ids] == list(range(world22.support_size))
 
 
 def test_non_normalized_prior_rejected():
@@ -105,6 +106,19 @@ def test_resampling_every_coordinate_draws_from_the_prior(seed):
         latents = obj.sample_latents(np.random.default_rng(100 + seed), 300)
         redrawn = obj.resample_latents(np.random.default_rng(seed), latents, range(3))
         assert np.array_equal(redrawn, obj.sample_latents(np.random.default_rng(seed), 300))
+
+
+@pytest.mark.parametrize("cols", [[7], [-1], [0, 2]])
+def test_bad_resample_coordinates_rejected(world22, xor_model, cols):
+    """Both discrete samplers reject coordinates outside the world's arity,
+    as the disk-rotation world does, and leave the generator untouched."""
+    for obj in (world22, xor_model):
+        rng = np.random.default_rng(0)
+        latents = obj.sample_latents(rng, 10)
+        state = rng.bit_generator.state
+        with pytest.raises(WorldError, match=r"coordinates .* outside this world's arity"):
+            obj.resample_latents(rng, latents, cols)
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("batch", [0, 1, 7, 8192])
@@ -201,6 +215,8 @@ def test_random_world_support_cap():
         random_world(0, 4, [9, 9, 9, 9], 0.0)
     with pytest.raises(ArityMismatch, match="cardinalities >= 2"):
         random_world(0, 2, [1, 2], 0.0)
+    with pytest.raises(ArityMismatch, match="cardinalities >= 2"):
+        random_world(0, 0, [], 0.5)  # no factors: no diagonal to correlate
 
 
 # -- zig-zag connectivity -----------------------------------------------------------
@@ -405,7 +421,9 @@ def test_pushforward_observation_distribution_matches():
 def test_candidate_encoder_inverts_generator(world22, xor_model):
     # e = phi^-1 . e* undoes g: the latent row is read off the inverse bijection
     x = xor_model.observe(xor_model.support)
-    assert np.array_equal(xor_model.support[xor_model.inv_perm[world22.encode_rows(x)]], xor_model.support)
+    encode = {int(v): r for r, v in enumerate(world22.obs_ids)}  # e*: observation id to support row
+    rows = [encode[int(v)] for v in x]
+    assert np.array_equal(xor_model.support[xor_model.inv_perm[rows]], xor_model.support)
 
 
 def test_identity_candidate(world22):
@@ -450,13 +468,6 @@ def test_from_map_rejects_non_bijective_maps(world22):
     world, _ = schematic_world("zigzag-violation")
     with pytest.raises(WorldError):
         CandidateModel.from_map(world, lambda t: (0, 0, t[2]))
-
-
-def test_encode_inverts_generate_and_rejects_unknown_ids():
-    world = random_world(5, 2, [3, 3], 1.0)  # sparse support, scattered ids
-    rows = world.encode_rows([world.gen[tuple(t)] for t in world.support])
-    assert world.support[rows].tolist() == world.support.tolist()
-    assert world.encode_rows([-1, world.support_size, 10**6]).tolist() == [-1, -1, -1]
 
 
 @pytest.mark.parametrize("corr", [0.0, 0.5, 1.0])
