@@ -278,19 +278,21 @@ def _write_derivation(fs: FactSet, kind: str, target: int, gens: list[int]) -> N
 
 def entails(
     axioms: Iterable[Fact],
-    query: Fact,
+    queries: Iterable[Fact],
     n: int,
     nuisance: bool = False,
 ) -> tuple[bool, list[str]]:
-    """Membership of the query in the unguarded closure, with its
-    derivation trace.
+    """Membership of the conjunction of the queries in the unguarded
+    closure, with the derivation traces of the queries in order when every
+    query holds (no lines otherwise).
 
     A False verdict means "not derivable from the rule set", not that the
-    fact fails in every model.
+    facts fail in every model.
     """
-    fs = derive(axioms, [query], n, nuisance)
-    if fs.contains(query):
-        return True, fs.trace_lines(query)
+    queries = list(queries)
+    fs = derive(axioms, queries, n, nuisance)
+    if all(fs.contains(q) for q in queries):
+        return True, [line for q in queries for line in fs.trace_lines(q)]
     return False, []
 
 
@@ -348,8 +350,7 @@ def plan_supervision(
     for size in range(0, min(budget, len(candidates)) + 1):
         winners = []
         for picks in combinations(range(len(candidates)), size):
-            fs = derive([guarantees[i] for i in picks], goal, n)
-            if all(fs.contains(g) for g in goal):
+            if entails([guarantees[i] for i in picks], goal, n)[0]:
                 winners.append(tuple(candidates[i] for i in picks))
         if winners:
             return winners

@@ -14,8 +14,9 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
-from .calculus import closure, derive, parse_facts
+from .calculus import closure, entails, parse_facts
 from .continuous import rotation_world
 from .errors import DegenerateDenominator, DisentlabError
 from .indexset import IndexSet, parse_ints
@@ -165,10 +166,16 @@ def world():
               help="Comma-separated cardinalities, one per factor.")
 @click.option("--corr", default=0.0, show_default=True, help="Factor correlation strength in [0,1].")
 @click.option("--schematic", type=click.Choice(SCHEMATIC_KINDS), default=None,
-              help="Emit a named schematic world instead of a random one.")
+              help="Emit a named schematic world instead of a random one (takes no --seed, --cards or --corr).")
 @click.option("--out", "-o", type=click.Path(), default=None, help="Output file (default stdout).")
 def world_gen(seed, cards, corr, schematic, out):
     """Write a world-spec document."""
+    if schematic:
+        ctx = click.get_current_context()
+        given = [f"--{name}" for name in ("seed", "cards", "corr")
+                 if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise click.UsageError(f"--schematic fixes the whole world; drop {', '.join(given)}")
     w = schematic_world(schematic)[0] if schematic else random_world(seed, len(cards), cards, corr)
     if out:
         save_world(w, out)
@@ -182,10 +189,10 @@ def world_gen(seed, cards, corr, schematic, out):
 def world_validate(path):
     """Run the assumption report on a world file (warnings do not fail)."""
     w, _ = path
-    report = check_assumptions(w)
-    for a, b in report.zigzag_failures:
+    failures = check_assumptions(w)
+    for a, b in failures:
         click.echo(f"warning: support not zig-zag connected for I={list(a)} J={list(b)}")
-    click.echo("ok" if report.ok else "assumption warnings present")
+    click.echo("assumption warnings present" if failures else "ok")
 
 
 @world.command("inspect")
@@ -307,10 +314,7 @@ def calc(n_factors, axioms, query, nuisance, fmt):
     """Entailment queries over C/R/D facts; without --query, list the closure."""
     axiom_facts = parse_facts(axioms, n_factors, nuisance)
     if query is not None:
-        queries = parse_facts(query, n_factors, nuisance)
-        fs = derive(axiom_facts, queries, n_factors, nuisance)
-        ok = all(fs.contains(q) for q in queries)
-        lines = [line for q in queries for line in fs.trace_lines(q)] if ok else []
+        ok, lines = entails(axiom_facts, parse_facts(query, n_factors, nuisance), n_factors, nuisance)
         if fmt == "json":
             click.echo(json.dumps({"entailed": ok, "trace": lines}))
         else:

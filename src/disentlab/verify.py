@@ -4,7 +4,7 @@ Each claim gets an independent check: a second straight-line enumeration
 of the defining expectations (kept deliberately separate from the metrics
 module's vectorized path), randomized soundness sweeps of the calculus
 with the zig-zag guard, the named counterexample suite, and structural
-assumption reports for worlds.
+assumption checks for worlds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .calculus import Fact, RuleGuard, closure, entails, nuisance_closure
 from .continuous import rotation_world
 from .errors import ArityMismatch, SupportTooLarge
 from .indexset import IndexSet
-from .learner import enumerate_matched, find_violating_model, matched_perms, verify_guarantee
+from .learner import MAX_ENUM_SUPPORT, enumerate_matched, find_violating_model, matched_perms, verify_guarantee
 from .metrics import (
     EvaluationTarget,
     generator_holds,
@@ -41,7 +41,6 @@ from .worlds import (
     zigzag_connectivity,
 )
 
-BRUTE_SUPPORT_CAP = 4096
 FACT_TOL = 1e-12
 _c_facts = cache(lambda n: tuple(Fact("C", IndexSet(n, bits)) for bits in range(1 << n)))
 
@@ -56,8 +55,6 @@ def check_fact_brute(world: DiscreteWorld, model: CandidateModel, fact: Fact) ->
     This is a second implementation of the defining expectations, written
     as plain dictionary loops so it shares no code with the metrics path.
     """
-    if world.support_size > BRUTE_SUPPORT_CAP:
-        raise SupportTooLarge(f"support {world.support_size} exceeds {BRUTE_SUPPORT_CAP}")
     q = {}
     phi = {}
     for r in range(model.support_size):
@@ -118,9 +115,6 @@ class VerificationReport:
         self.checks.append(
             VerifyCheck(name, "pass" if ok else "fail", statistic, detail, seed)
         )
-
-    def extend(self, other: "VerificationReport"):
-        self.checks.extend(other.checks)
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, **report_doc(self)}
@@ -195,32 +189,33 @@ def _unsound_atoms(axioms, n: int, guard: RuleGuard, truths) -> tuple[int, list[
 
 def _sweep_case(trial_seed: int):
     """One trial's random world (up to 3 factors of up to 3 values),
-    bijection, true atoms and axioms (a random half of the true atoms)."""
+    bijection of its support rows, true atoms and axioms (a random half of
+    the true atoms)."""
     rng = np.random.default_rng(trial_seed)
     n = int(rng.integers(1, 4))
     cards = [int(rng.integers(2, 4)) for _ in range(n)]
     corr = float(rng.choice([0.0, float(rng.uniform(0.0, 1.0)), 1.0]))
     world = random_world(int(rng.integers(2**31)), n, cards, corr)
-    model = CandidateModel(world, rng.permutation(world.support_size))
+    perm = rng.permutation(world.support_size)
 
-    truths = _true_atoms(world, model.perm)[0]
+    truths = _true_atoms(world, perm)[0]
     axioms = [
         Fact(kind, IndexSet(n, bits))
         for kind, bits in sorted(truths)
         if rng.random() < 0.5
     ]
-    return n, model, truths, axioms
+    return world, perm, truths, axioms
 
 
 def _sweep_trial(trial_seed: int) -> tuple[int, list[dict]]:
-    n, model, truths, axioms = _sweep_case(trial_seed)
-    checked, unsound = _unsound_atoms(axioms, n, zigzag_guard(model.support), truths)
+    world, perm, truths, axioms = _sweep_case(trial_seed)
+    checked, unsound = _unsound_atoms(axioms, world.n, zigzag_guard(world.support), truths)
     return checked, [
         {
             "trial_seed": trial_seed,
             "fact": str(fact),
             "axioms": [str(a) for a in axioms],
-            "perm": [int(v) for v in model.perm],
+            "perm": [int(v) for v in perm],
         }
         for fact in unsound
     ]
@@ -238,7 +233,11 @@ def soundness_sweep(seed: int = 0, trials: int = 1000) -> SweepReport:
 
 def exhaustive_bijection_sweep(world: DiscreteWorld) -> SweepReport:
     """All bijections of one world, axioms = all true atoms, guarded
-    closure, zero tolerance for unsound derivations."""
+    closure, zero tolerance for unsound derivations.  The bijections are
+    listed with ``itertools``, independently of the learner; a support
+    above ``MAX_ENUM_SUPPORT`` raises SupportTooLarge before any is listed."""
+    if world.support_size > MAX_ENUM_SUPPORT:
+        raise SupportTooLarge(f"support {world.support_size} exceeds enumeration cap {MAX_ENUM_SUPPORT}")
     n = world.n
     guard = zigzag_guard(world.support)
     perms = list(permutations(range(world.support_size)))
@@ -309,7 +308,7 @@ def run_counterexample_suite(seed: int = 0, samples: int = 50000) -> Verificatio
     r1, r2, r12 = (Fact("R", IndexSet.of(s, n)) for s in ([1], [2], [1, 2]))
     truths_ok = holds(target, r1) and holds(target, r2) and not holds(target, r12)
     guarded = closure([r1, r2], n, guard=zigzag_guard(model.support))
-    detection_ok = entails([r1, r2], r12, n)[0] and not guarded.contains(r12)
+    detection_ok = entails([r1, r2], [r12], n)[0] and not guarded.contains(r12)
     report.add(
         "zigzag-violation",
         truths_ok and detection_ok,
@@ -321,25 +320,16 @@ def run_counterexample_suite(seed: int = 0, samples: int = 50000) -> Verificatio
 # -- structural assumption checks --------------------------------------------------------------
 
 
-@dataclass
-class AssumptionReport:
-    zigzag_failures: list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.zigzag_failures
-
-
-def check_assumptions(world: DiscreteWorld) -> AssumptionReport:
-    """Connectivity report for a world: zig-zag connectivity over all pairs
-    of index sets of one or two factors.  The other assumption, a generator
+def check_assumptions(world: DiscreteWorld) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (I, J) of index sets of one or two factors, each pair once
+    and I before J, for which the world's support is not zig-zag connected;
+    an empty list when every pair is.  The other assumption, a generator
     injective on the support, is checked when a ``DiscreteWorld`` is built.
     """
     sets = [IndexSet.of(s, world.n) for size in (1, 2) for s in _combinations(range(1, world.n + 1), size)]
     connected = zigzag_connectivity(world.support)
-    failures = [(I.members(), J.members()) for I in sets for J in sets
-                if I.members() < J.members() and not connected(I.bits, J.bits)]
-    return AssumptionReport(failures)
+    return [(I.members(), J.members()) for I in sets for J in sets
+            if I.members() < J.members() and not connected(I.bits, J.bits)]
 
 
 # -- weak-supervision guarantee battery ------------------------------------------------------------
@@ -455,7 +445,7 @@ def verify_theorem_guarantees(support_max: int = 6, seed: int = 0) -> Verificati
     )
     report.add("unsupervised-information-gap-collapse", collapse, statistic=float(len(unsup)))
 
-    report.extend(check_nuisance_guarantee(uniform_world((2, 2, 2)), supervised=2))
+    report.checks.extend(check_nuisance_guarantee(uniform_world((2, 2, 2)), supervised=2).checks)
     return report
 
 

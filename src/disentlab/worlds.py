@@ -40,14 +40,17 @@ class DiscreteWorld:
     """An exact oracle over a finite factor space.
 
     Immutable after construction; every invariant is checked eagerly:
-    the prior normalizes to one and the generator is injective on the
-    support, so an encoder inverting it exists.
+    the factor grid has at most ``DEFAULT_SUPPORT_CAP`` cells, the prior
+    normalizes to one and the generator is injective on the support, so an
+    encoder inverting it exists.
     """
 
     def __init__(self, cards: Sequence[int], prior, gen, ordered: Sequence[bool] | None = None):
         cards = tuple(int(k) for k in cards)
         if not cards or any(k < 1 for k in cards):
             raise ArityMismatch(f"factor cardinalities must be >= 1, got {cards}")
+        if prod(cards) > DEFAULT_SUPPORT_CAP:
+            raise SupportTooLarge(f"factor grid of {prod(cards)} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}")
         self.n = len(cards)
         self.cards = cards
 
@@ -146,15 +149,6 @@ class DiscreteWorld:
             "gen": [int(v) for v in self.gen.reshape(-1)],
         }
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiscreteWorld)
-            and self.cards == other.cards
-            and self.ordered == other.ordered
-            and np.array_equal(self.prior, other.prior)
-            and np.array_equal(self.gen, other.gen)
-        )
-
     def __repr__(self) -> str:
         return f"DiscreteWorld(cards={self.cards}, support={self.support_size})"
 
@@ -221,7 +215,7 @@ def random_world(seed: int, n: int, cards: Sequence[int], correlation: float = 0
     if not 0.0 <= correlation <= 1.0:
         raise WorldError(f"correlation must lie in [0, 1], got {correlation}")
     size = prod(cards)
-    if size > DEFAULT_SUPPORT_CAP:
+    if size > DEFAULT_SUPPORT_CAP:  # before the grid is allocated, not only when the world is built
         raise SupportTooLarge(f"support {size} exceeds cap {DEFAULT_SUPPORT_CAP}")
 
     rng = np.random.default_rng(seed)

@@ -68,18 +68,18 @@ def test_full_disentanglement_from_singleton_restrictiveness():
 
 
 def test_consistency_does_not_imply_restrictiveness():
-    ok, _ = entails([F("C", [1], 3)], F("R", [1], 3), 3)
+    ok, _ = entails([F("C", [1], 3)], [F("R", [1], 3)], 3)
     assert not ok
 
 
 def test_union_rule_entailment_with_trace():
-    ok, trace = entails([F("R", [1], 3), F("R", [2], 3)], F("R", [1, 2], 3), 3)
+    ok, trace = entails([F("R", [1], 3), F("R", [2], 3)], [F("R", [1, 2], 3)], 3)
     assert ok
     assert any("r_union" in line for line in trace)
 
 
 def test_empty_set_disentanglement_is_free():
-    ok, trace = entails([], F("D", [], 3), 3)
+    ok, trace = entails([], [F("D", [], 3)], 3)
     assert ok
     assert all("trivial" in line for line in trace)
 
@@ -153,7 +153,7 @@ def test_lattice_verdicts_equal_reference_saturation(case):
     for q in queries:
         expected = q.atoms()[0] in reference.atoms
         assert derived.contains(q) == expected, (axioms, q)
-        assert entails(axioms, q, n, nuisance)[0] == expected, (axioms, q)
+        assert entails(axioms, [q], n, nuisance)[0] == expected, (axioms, q)
 
 
 _ATOM_RE = re.compile(r"[CR]\{[^{}]*\}")
@@ -202,12 +202,20 @@ def replay(lines, axioms, n, nuisance=False):
 def test_entails_traces_replay(case):
     n, nuisance, axioms = case
     reference = reference_closure(axioms, n, nuisance)
+    single = {}
     for q in every_atom(n, nuisance):
-        ok, lines = entails(axioms, q, n, nuisance)
+        ok, lines = entails(axioms, [q], n, nuisance)
+        single[q] = ok, lines
         if ok:
             assert q.atoms()[0] in replay(lines, axioms, n, nuisance)
         else:
             assert lines == [] and q.atoms()[0] not in reference.atoms
+    # a two-query conjunction: the all of the single verdicts, and when it
+    # holds the single traces joined in query order
+    queries = list(single)
+    for q1, q2 in zip(queries, queries[::-1]):
+        (ok1, lines1), (ok2, lines2) = single[q1], single[q2]
+        assert entails(axioms, [q1, q2], n, nuisance) == ((True, lines1 + lines2) if ok1 and ok2 else (False, []))
 
 
 def test_derive_traces_both_coordinates_of_one_set():
@@ -224,7 +232,7 @@ def test_derive_traces_both_coordinates_of_one_set():
 
 def test_replay_rejects_a_wrong_step():
     axioms = [F("C", [1, 2], 3), F("C", [2, 3], 3)]
-    ok, lines = entails(axioms, F("C", [2], 3), 3)
+    ok, lines = entails(axioms, [F("C", [2], 3)], 3)
     assert ok and replay(lines, axioms, 3)
     with pytest.raises(AssertionError):
         replay([line.replace("c_intersect", "c_union") for line in lines], axioms, 3)

@@ -304,6 +304,8 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "validate", "{tmp}/gen-repeat.json"],
         ["world", "validate", "{tmp}/prior-over.json"],
         ["world", "gen", "--n", "2"],
+        ["world", "gen", "--schematic", "zigzag-violation", "--cards", "5,5,5", "--corr", "0.9", "--seed", "3"],
+        ["world", "gen", "--schematic", "zigzag-violation", "--seed", "0"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "tol-negative", "tol-nan", "tol-inf", "model-file-directory",
@@ -316,7 +318,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
          "gen-out-missing-dir", "set-arabic-indic-digit", "bijection-arabic-indic-digit",
          "cards-arabic-indic-digit", "spec-arabic-indic-digit", "model-file-missing", "world-not-utf8",
          "bijection-past-int64", "bijection-on-rotation", "world-gen-repeat", "world-prior-over",
-         "gen-n-removed"],
+         "gen-n-removed", "schematic-with-random-options", "schematic-with-default-seed"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     for name, text in BAD_WORLDS.items():
@@ -325,6 +327,40 @@ def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     assert res.exit_code == 2 and isinstance(res.exception, (SystemExit, type(None)))
     lines = [line for line in res.output.splitlines() if line.strip()]
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
+
+
+_GEN_BOUNDARY = [
+    ["world", "gen", "--cards", cards, "--corr", corr, *schematic]
+    for cards in ["", "1", "2,1", "64,65", "4097"]
+    for corr in ["0", "1", "-0.1", "1.5", "nan"]
+    for schematic in [[], ["--schematic", "zigzag-violation"]]
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [*_GEN_BOUNDARY, ["world", "validate", "{big}"], ["world", "inspect", "{big}"]],
+    ids=[" ".join(a[2:]) or "empty" for a in _GEN_BOUNDARY] + ["validate-2^13", "inspect-2^13"],
+)
+def test_world_boundary_values_exit_zero_or_two(runner, tmp_path, args):
+    """``world gen`` at the edges of ``--cards`` and ``--corr``, with and
+    without ``--schematic``, and a world file of 2^13 cells, above
+    DEFAULT_SUPPORT_CAP: exit 0, or exit 2 with one line, never a traceback.
+    The file is refused as it is loaded, before any check runs on it."""
+    big = tmp_path / "big.json"
+    size = 1 << 13
+    big.write_text(json.dumps({"version": 1, "n": 13, "cards": [2] * 13, "prior": [1 / size] * size,
+                               "gen": list(range(size))}))
+    start = time.perf_counter()
+    res = runner.invoke(main, [a.replace("{big}", str(big)) for a in args])
+    elapsed = time.perf_counter() - start
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    assert res.exit_code in (0, 2), res.output
+    if res.exit_code == 2:
+        lines = [line for line in res.output.splitlines() if line.strip()]
+        assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
+    if "{big}" in args:
+        assert res.exit_code == 2 and "exceeds the support cap" in res.output and elapsed < 1.0
 
 
 @pytest.mark.parametrize("args", [[], ["world"]], ids=["top", "world"])

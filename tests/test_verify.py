@@ -64,14 +64,6 @@ def test_brute_agrees_with_metrics_on_random_triples():
     assert agree == total
 
 
-def test_brute_support_cap(monkeypatch):
-    world = uniform_world((2, 2))
-    model = CandidateModel.identity(world)
-    monkeypatch.setattr("disentlab.verify.BRUTE_SUPPORT_CAP", 2)
-    with pytest.raises(SupportTooLarge):
-        check_fact_brute(world, model, Fact("C", IndexSet.of([1], 2)))
-
-
 # -- sweeps ------------------------------------------------------------------------------
 
 
@@ -89,6 +81,15 @@ def test_soundness_sweep_zero_trials_trivially_green():
 def test_exhaustive_bijections_of_uniform22_sound():
     report = exhaustive_bijection_sweep(uniform_world((2, 2)))
     assert report.passed
+
+
+def test_exhaustive_bijection_sweep_support_cap():
+    """Support 9 is above MAX_ENUM_SUPPORT: refused before its 9! bijections
+    are listed."""
+    start = time.perf_counter()
+    with pytest.raises(SupportTooLarge):
+        exhaustive_bijection_sweep(uniform_world((3, 3)))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_unguarded_closure_catches_zigzag_violation():
@@ -119,8 +120,8 @@ def test_guarded_closure_equals_reference_on_sweep_trials():
     atoms as the IndexSet saturation on 2,000 soundness-sweep trials."""
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(17).spawn(2000)]
     for trial_seed in seeds:
-        n, model, _, axioms = verify._sweep_case(trial_seed)
-        got, expected = _guarded_pair(axioms, n, model.support)
+        world, _, _, axioms = verify._sweep_case(trial_seed)
+        got, expected = _guarded_pair(axioms, world.n, world.support)
         assert got == expected, trial_seed
 
 
@@ -129,8 +130,9 @@ def test_true_atoms_equal_per_set_reading_on_sweep_trials():
     the same atoms as one ``raw_consistency`` call per set on 2,000 trials."""
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(23).spawn(2000)]
     for trial_seed in seeds:
-        n, model, truths, _ = verify._sweep_case(trial_seed)
-        target = EvaluationTarget.generator_based(model)
+        world, perm, truths, _ = verify._sweep_case(trial_seed)
+        n = world.n
+        target = EvaluationTarget.generator_based(CandidateModel(world, perm))
         zero = [raw_consistency(target, IndexSet(n, bits)) <= EXACT_TOL for bits in range(1 << n)]
         full = (1 << n) - 1
         expected = {("C", b) for b in range(1 << n) if zero[b]} | {("R", b) for b in range(1 << n) if zero[full ^ b]}
@@ -233,15 +235,12 @@ def test_report_documents_match_their_field_lists():
 
 
 def test_assumptions_full_grid_world():
-    report = check_assumptions(uniform_world((2, 3)))
-    assert report.ok
+    assert check_assumptions(uniform_world((2, 3))) == []
 
 
 def test_assumptions_zigzag_violation_world():
     world, _ = schematic_world("zigzag-violation")
-    report = check_assumptions(world)
-    assert ((1,), (2,)) in report.zigzag_failures
-    assert not report.ok
+    assert ((1,), (2,)) in check_assumptions(world)
 
 
 def test_assumptions_at_default_support_cap():
@@ -250,9 +249,9 @@ def test_assumptions_at_default_support_cap():
     world = uniform_world((2,) * 12)
     assert world.support_size == DEFAULT_SUPPORT_CAP
     start = time.perf_counter()
-    report = check_assumptions(world)
+    failures = check_assumptions(world)
     elapsed = time.perf_counter() - start
-    assert report.ok
+    assert failures == []
     assert elapsed < ASSUMPTIONS_BUDGET_S, f"{elapsed:.2f} s at support {world.support_size}"
 
 

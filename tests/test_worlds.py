@@ -23,6 +23,7 @@ from disentlab.errors import (
 )
 from disentlab.verify import check_assumptions
 from disentlab.worlds import (
+    DEFAULT_SUPPORT_CAP,
     _draw_rows,
     _guide_rows,
     _resample_rows,
@@ -206,8 +207,29 @@ def test_random_world_corr_one_has_positive_mi():
 
 
 def test_random_world_deterministic_in_seed():
-    assert random_world(7, 2, [3, 2], 0.4) == random_world(7, 2, [3, 2], 0.4)
-    assert random_world(7, 2, [3, 2], 0.4) != random_world(8, 2, [3, 2], 0.4)
+    assert random_world(7, 2, [3, 2], 0.4).to_doc() == random_world(7, 2, [3, 2], 0.4).to_doc()
+    assert random_world(7, 2, [3, 2], 0.4).to_doc() != random_world(8, 2, [3, 2], 0.4).to_doc()
+
+
+def test_world_is_hashable():
+    """Worlds hash by identity, so they can key a dict."""
+    a, b = uniform_world((2, 2)), uniform_world((2, 2))
+    seen = {a: "a", b: "b"}
+    assert hash(a) == hash(a) and seen[a] == "a" and seen[b] == "b"
+
+
+def test_every_world_obeys_the_support_cap():
+    """A factor grid above DEFAULT_SUPPORT_CAP cells is refused however the
+    world is built; the 2^12 grid at the cap is accepted."""
+    assert uniform_world((2,) * 12).support_size == DEFAULT_SUPPORT_CAP
+    with pytest.raises(SupportTooLarge):
+        uniform_world((2,) * 13)
+    size = 1 << 13
+    doc = {"version": 1, "n": 13, "cards": [2] * 13, "prior": [1 / size] * size, "gen": list(range(size))}
+    with pytest.raises(SupportTooLarge):
+        world_from_doc(doc)
+    with pytest.raises(SupportTooLarge):
+        DiscreteWorld((DEFAULT_SUPPORT_CAP + 1,), np.eye(1, DEFAULT_SUPPORT_CAP + 1)[0], np.arange(DEFAULT_SUPPORT_CAP + 1))
 
 
 def test_random_world_support_cap():
@@ -371,7 +393,7 @@ def test_assumption_report_zigzag_failures_equal_reference(shape):
             for J in sets
             if I.members() < J.members() and not reference_zigzag(w.support, I, J)
         )
-        failures = check_assumptions(w).zigzag_failures
+        failures = check_assumptions(w)
         assert sorted(failures) == expected and len(set(failures)) == len(failures), w.support
         disconnected += len(expected)
     assert (disconnected > 0) == (shape in ("diagonal", "subset"))
@@ -509,7 +531,7 @@ def test_world_doc_round_trip(tmp_path):
     path = tmp_path / "w.json"
     save_world(w, path)
     again = load_world(path)
-    assert again == w
+    assert again.to_doc() == w.to_doc()
     # bit-exact prior round trip through the decimal representation
     assert json.loads(path.read_text())["prior"] == [float(v) for v in w.prior.reshape(-1)]
 
