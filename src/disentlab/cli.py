@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path
 
 import click
 from click.core import ParameterSource
@@ -77,22 +76,6 @@ class _World(click.ParamType):
             return load_world(value), None
         except DisentlabError as exc:
             self.fail(f"invalid world file {value!r}: {exc}", param, ctx)
-
-
-class _ModelFile(click.ParamType):
-    """The 'perm' array of a JSON model file."""
-
-    name = "path"  # the metavar --help shows, as for click.Path
-
-    def convert(self, value, param, ctx):
-        try:
-            doc = json.loads(Path(value).read_text())
-        except ValueError as exc:
-            self.fail(f"model file {value!r} is not valid JSON: {exc}", param, ctx)
-        perm = doc.get("perm") if isinstance(doc, dict) else None
-        if not isinstance(perm, list) or not all(type(v) is int for v in perm):
-            self.fail(f"model file {value!r} needs a 'perm' array of integers", param, ctx)
-        return perm
 
 
 def _emit_records(records: list[dict], fmt: str):
@@ -236,8 +219,6 @@ def dataset(world_arg, spec_str, seed, count, out):
               help="World file or named world.")
 @click.option("--bijection", type=_Ints(), default=None,
               help="Candidate as a comma-separated support permutation (default identity).")
-@click.option("--model-file", type=_ModelFile(), default=None,
-              help="JSON file with a 'perm' array.")
 @click.option("--set", "sets", type=_Ints(), multiple=True,
               help="Index set like 1,2 (repeatable; default: every singleton).")
 @click.option("--facts", default=None,
@@ -253,14 +234,13 @@ def dataset(world_arg, spec_str, seed, count, out):
 @click.option("--with-mig", is_flag=True, help="Also report the mutual information gap.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
               show_default=True)
-def score(world_arg, bijection, model_file, sets, facts, kind, direction, mode, samples, seed,
-          tol, with_mig, fmt):
+def score(world_arg, bijection, sets, facts, kind, direction, mode, samples, seed, tol, with_mig, fmt):
     """Emit normalized consistency/restrictiveness records for a candidate."""
     w, paired = world_arg
-    if model_file is not None or bijection:  # an empty --bijection keeps the default candidate
+    if bijection:  # an empty --bijection keeps the default candidate
         if not isinstance(w, DiscreteWorld):
             raise click.UsageError("the rotation world carries its own candidate")
-        model = CandidateModel(w, bijection if model_file is None else model_file)
+        model = CandidateModel(w, bijection)
     else:
         model = paired or CandidateModel.identity(w)
 

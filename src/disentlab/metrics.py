@@ -262,18 +262,13 @@ def raw_consistency(target: EvaluationTarget, I: IndexSet) -> float:
 # -- Monte-Carlo engine ------------------------------------------------------------
 
 
-def _run_chunks(fn, total: int, seq: np.random.SeedSequence) -> np.ndarray:
-    """Evaluate fn(rng, size) over fixed-size chunks with per-chunk derived
-    seeds, so a result does not depend on how the chunks are scheduled."""
-    sizes = [min(MC_CHUNK, total - lo) for lo in range(0, total, MC_CHUNK)]
-    seeds = seq.spawn(len(sizes))
-    parts = [fn(np.random.default_rng(s), size) for s, size in zip(seeds, sizes)]
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _mc_pairs(target, I: IndexSet, samples: int):
-    """(conditional-pair chunk, i.i.d.-pair chunk): functions of (rng, size)
-    giving one deviation per sampled pair.
+def _mc_deviations(target, I: IndexSet, samples: int, seed, iid: bool = True):
+    """(conditional-pair deviations, i.i.d.-pair deviations), one per
+    sample; the i.i.d. pairs only with ``iid`` (None otherwise), since a
+    verdict reads the conditional pairs alone.  Each kind draws from its
+    child of the seed's SeedSequence (conditional first), one derived seed
+    per ``MC_CHUNK`` samples, so a result does not depend on how the chunks
+    are scheduled.
 
     Discrete factors count differing coordinates (squared indicator
     distance); continuous factors use squared Euclidean distance.
@@ -284,6 +279,7 @@ def _mc_pairs(target, I: IndexSet, samples: int):
         raise MetricError(f"Monte-Carlo mode needs at least one sample, got {samples}")
     cols, resample_cols = I.cols(), I.complement().cols()
     sample, resample, measure = target.mc_parts(cols)
+    sizes = [min(MC_CHUNK, samples - lo) for lo in range(0, samples, MC_CHUNK)]
 
     def distance(z, z2):
         a, b = measure(z), measure(z2)
@@ -298,15 +294,12 @@ def _mc_pairs(target, I: IndexSet, samples: int):
     def den_chunk(rng, m):
         return distance(sample(rng, m), sample(rng, m))
 
-    return num_chunk, den_chunk
+    def run(chunk, seq):
+        seeds = seq.spawn(len(sizes))
+        return np.concatenate([chunk(np.random.default_rng(s), size) for s, size in zip(seeds, sizes)])
 
-
-def _mc_deviations(target, I: IndexSet, samples: int, seed):
-    """(conditional-pair deviations, i.i.d.-pair deviations), one per sample,
-    from the first and second child of the seed's SeedSequence."""
-    num_chunk, den_chunk = _mc_pairs(target, I, samples)
     seq_num, seq_den = np.random.SeedSequence(seed).spawn(2)
-    return _run_chunks(num_chunk, samples, seq_num), _run_chunks(den_chunk, samples, seq_den)
+    return run(num_chunk, seq_num), run(den_chunk, seq_den) if iid else None
 
 
 def _ratio_std_error(num_devs, den_devs) -> float:
@@ -384,10 +377,7 @@ def holds(
     def raw(sets) -> np.ndarray:
         if mode == "exact":
             return _exact_stats(*target.exact_view(), sets)[0]
-        # the conditional pairs of _mc_deviations alone, each set from its own spawn
-        chunks = [_mc_pairs(target, J, samples)[0] for J in sets]
-        return np.array([_run_chunks(c, samples, np.random.SeedSequence(seed).spawn(2)[0]).mean()
-                         for c in chunks])
+        return np.array([_mc_deviations(target, J, samples, seed, iid=False)[0].mean() for J in sets])
 
     return bool(_fact_verdicts(raw, fact, tol))
 

@@ -257,8 +257,12 @@ class CandidateModel:
     """
 
     def __init__(self, world: DiscreteWorld, perm: Sequence[int]):
+        entries = perm if isinstance(perm, np.ndarray) else np.asarray(perm, dtype=object)
+        if entries.dtype.kind not in "iu" and not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries.flat):
+            raise WorldError("perm entries must be integers")
         try:
-            perm = np.asarray(perm, dtype=np.int64)
+            perm = np.asarray(entries, dtype=np.int64)
         except OverflowError as exc:
             raise WorldError(f"perm entry out of range: {exc}") from exc
         m = world.support_size

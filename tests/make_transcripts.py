@@ -13,12 +13,11 @@ import json
 from test_transcripts import TRANSCRIPTS, replay
 
 # inputs no command writes: files for one bad input per error class
-HALF = '"version": 1, "n": 1, "cards": [2], "prior": [0.5, 0.5]'
 FILES = {
     "not-json.json": "{not json",
     "arity.json": '{"version": 1, "n": 2, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 1]}',
     "prior-over.json": '{"version": 1, "n": 1, "cards": [2], "prior": [0.6, 0.5], "gen": [0, 1]}',
-    "gen-repeat.json": '{%s, "gen": [0, 0]}' % HALF,
+    "gen-repeat.json": '{"version": 1, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, 0]}',
     "unordered.json": '{"version": 1, "n": 2, "cards": [2, 2], "ordered": [true, false], '
                       '"prior": [0.25, 0.25, 0.25, 0.25], "gen": [0, 1, 2, 3]}',
 }

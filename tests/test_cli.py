@@ -192,28 +192,6 @@ def test_score_degenerate_mc_reported_not_fatal(runner, tmp_path):
     assert recs[1]["kind"] == "restrictiveness" and recs[1]["mode"] == "mc"
 
 
-def test_score_model_file(runner, tmp_path):
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({"perm": [0, 1, 3, 2]}))
-    res = invoke(runner, "score", "--world", "consistent-not-restrictive", "--model-file",
-                 str(model), "--set", "1", "--format", "json")
-    assert res.exit_code == 0
-    recs = {r["kind"]: r for r in map(json.loads, res.output.splitlines())}
-    assert recs["consistency"]["score"] == 1.0
-
-
-@pytest.mark.parametrize(
-    "text", ['{"perm": [0, 1', '{"bijection": [0, 1, 2, 3]}', '[0, 1, 2, 3]', '{"perm": ["a"]}']
-)
-def test_score_malformed_model_file_exits_two(runner, tmp_path, text):
-    model = tmp_path / "model.json"
-    model.write_text(text)
-    res = invoke(runner, "score", "--world", "consistent-not-restrictive", "--model-file",
-                 str(model))
-    assert res.exit_code == 2
-    assert "model file" in res.output and "Traceback" not in res.output
-
-
 def test_score_csv_format(runner):
     res = invoke(runner, "score", "--world", "consistent-not-restrictive", "--set", "1",
                  "--format", "csv")
@@ -267,7 +245,6 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["score", *CNR, "--facts", "C{1}", "--tol", "-1"],
         ["score", *CNR, "--facts", "C{1}", "--tol", "nan"],
         ["score", *CNR, "--facts", "C{1}", "--tol", "inf"],
-        ["score", *CNR, "--model-file", "{tmp}"],
         ["score", "--world", "rotation", "--mode", "exact"],
         ["score", "--world", "{tmp}/arity.json"],
         ["score", "--world", "{tmp}"],
@@ -297,7 +274,6 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["score", *CNR, "--bijection", "\u0660,\u0661,\u0662,\u0663"],
         ["world", "gen", "--cards", "\u0662,\u0663"],
         ["dataset", *CNR, "--spec", "share:\u0662", "--out", "{tmp}/d.jsonl"],
-        ["score", *CNR, "--model-file", "{tmp}/missing.json"],
         ["world", "inspect", "{tmp}/not-utf8.json"],
         ["score", *CNR, "--bijection", str(2**64)],
         ["score", "--world", "rotation", "--bijection", "0,1"],
@@ -306,9 +282,10 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "gen", "--n", "2"],
         ["world", "gen", "--schematic", "zigzag-violation", "--cards", "5,5,5", "--corr", "0.9", "--seed", "3"],
         ["world", "gen", "--schematic", "zigzag-violation", "--seed", "0"],
+        ["score", *CNR, "--bijection", "0,1"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
-         "tol-negative", "tol-nan", "tol-inf", "model-file-directory",
+         "tol-negative", "tol-nan", "tol-inf",
          "exact-on-continuous", "world-arity", "world-directory", "spec-token", "out-directory",
          "eta-query-range", "superscript-digit", "arabic-indic-digit", "score-superscript-digit",
          "verify-samples-zero", "support-max-zero", "support-max-three",
@@ -316,9 +293,10 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
          "world-gen-huge", "world-ordered-number", "world-ordered-string", "world-n-string",
          "world-cards-float", "world-cards-bool", "world-version-bool", "gen-out-directory",
          "gen-out-missing-dir", "set-arabic-indic-digit", "bijection-arabic-indic-digit",
-         "cards-arabic-indic-digit", "spec-arabic-indic-digit", "model-file-missing", "world-not-utf8",
+         "cards-arabic-indic-digit", "spec-arabic-indic-digit", "world-not-utf8",
          "bijection-past-int64", "bijection-on-rotation", "world-gen-repeat", "world-prior-over",
-         "gen-n-removed", "schematic-with-random-options", "schematic-with-default-seed"],
+         "gen-n-removed", "schematic-with-random-options", "schematic-with-default-seed",
+         "bijection-short"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     for name, text in BAD_WORLDS.items():
@@ -446,9 +424,7 @@ def _fuzz_files(root: Path) -> dict:
     CliRunner().invoke(main, ["world", "gen", "--seed", "1", "--cards", "2,2", "--out", str(good)])
     bad = root / "bad.json"
     bad.write_text('{"version": 1, "n": 1, "cards": [2], "prior": [0.5, 0.5], "gen": [0, "x"]}')
-    model = root / "model.json"
-    model.write_text(json.dumps({"perm": [1, 0, 2, 3]}))
-    return {"good": str(good), "bad": str(bad), "model": str(model), "dir": str(root),
+    return {"good": str(good), "bad": str(bad), "dir": str(root),
             "out": str(root / "out.jsonl"), "missing": str(root / "missing.json"),
             "doc": str(root / "doc.json")}
 
@@ -462,7 +438,6 @@ OPTIONS = {
     "score": {
         "--world": WORLDS,
         "--bijection": st.one_of(st.sampled_from(["0,1,2,3", "3,2,1,0", "0,0", "a,b"]), TOKEN),
-        "--model-file": st.sampled_from(["model", "bad", "dir"]),
         "--set": st.one_of(st.sampled_from(["1", "1,2", "", "3", "2,x"]), TOKEN),
         "--facts": FACTS,
         "--kind": st.sampled_from(["c", "r", "both", "q"]),

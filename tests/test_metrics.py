@@ -309,25 +309,46 @@ def _chunks_with_states(fn, seq):
     return np.concatenate(devs), states
 
 
+def _part_chunks(target, I):
+    """(conditional-pair chunk, i.i.d.-pair chunk) built from the target's
+    ``mc_parts``, as the MC engine pairs and measures its draws."""
+    sample, resample, measure = target.mc_parts(I.cols())
+
+    def distance(z, z2):
+        return ((measure(z) - measure(z2)) ** 2).sum(axis=0)
+
+    def num_chunk(rng, size):
+        z = sample(rng, size)
+        return distance(z, resample(rng, z, I.complement().cols()))
+
+    def den_chunk(rng, size):
+        return distance(sample(rng, size), sample(rng, size))
+
+    return num_chunk, den_chunk
+
+
 @pytest.mark.parametrize("direction", [GENERATOR_BASED, ENCODER_BASED])
 def test_rotation_pairs_equal_full_trig_reference(direction):
-    """For every set of measured columns, the rotation engine's pair chunks
+    """For every set of measured columns, the rotation candidate's MC parts
     give the deviations of the full-trig sampler and leave the generator in
-    its state after every chunk, angle-only sets included; the scores, their
-    parts and standard errors are the reference's, float for float."""
+    its state after every chunk, angle-only sets included; the engine's
+    deviations, the scores, their parts and standard errors are the
+    reference's, float for float."""
     _, cand = rotation_world()
     target, samples = EvaluationTarget(direction, cand), 2 * metrics.MC_CHUNK + 100
     for bits in range(1 << 3):
         I = IndexSet(3, bits)
         runs = [
             [_chunks_with_states(fn, seq) for fn, seq in zip(fns, np.random.SeedSequence(bits).spawn(2))]
-            for fns in (metrics._mc_pairs(target, I, samples), rotation_chunks(direction, I))
+            for fns in (_part_chunks(target, I), rotation_chunks(direction, I))
         ]
         for (got, got_states), (want, want_states) in zip(*runs):
             assert got.tobytes() == want.tobytes() and got_states == want_states, (I, got[:3], want[:3])
+        (num, _), (den, _) = runs[1]
+        engine = metrics._mc_deviations(target, I, samples, bits)
+        assert [a.tobytes() for a in engine] == [num.tobytes(), den.tobytes()], I
         if not bits:
             continue  # nothing measured: a zero denominator
-        (num, _), (den, _) = runs[1]
         want = [(1.0 - num.mean() / den.mean()).hex(), metrics._ratio_std_error(num, den).hex()]
         for rep in (normalized_consistency(target, I, "mc", samples, bits),
                     normalized_restrictiveness(target, I.complement(), "mc", samples, bits)):

@@ -423,6 +423,15 @@ def test_candidate_requires_permutation(world22):
         CandidateModel(world22, [2**64, 0, 1, 2])
 
 
+def test_candidate_rejects_non_integer_entries(world22):
+    """Floats, strings and booleans are not cast to row numbers."""
+    for perm in ([0.7, 1, 2, 3], [0, 1, 2, 3.9], ["0", "1", "2", "3"], np.arange(4.0), [True, 0, 2, 3]):
+        with pytest.raises(WorldError, match="perm entries must be integers"):
+            CandidateModel(world22, perm)
+    with pytest.raises(WorldError, match="perm entries must be integers"):
+        CandidateModel(uniform_world((2,)), [True, False])
+
+
 def test_pushforward_observation_distribution_matches():
     rng = np.random.default_rng(3)
     for _ in range(10):
