@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import time
 from itertools import permutations
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from disentlab import (
     CandidateModel,
@@ -26,7 +28,10 @@ from disentlab import (
     zigzag_guard,
 )
 from disentlab import verify
+from disentlab.calculus import parse_facts
+from disentlab.cli import main
 from disentlab.errors import ArityMismatch, MetricError, SupportTooLarge
+from disentlab.learner import GuaranteeReport
 from disentlab.metrics import EXACT_TOL, MatchCheckResult, MigReport
 from disentlab.worlds import DEFAULT_SUPPORT_CAP
 from reference_calculus import reference_closure, reference_zigzag_guard
@@ -266,3 +271,117 @@ def test_nuisance_guarantee_small_world():
 def test_nuisance_guarantee_requires_all_but_last():
     with pytest.raises(ArityMismatch):
         check_nuisance_guarantee(uniform_world((2, 2)), supervised=2)
+
+
+# -- negative controls: each check is seen to fail ---------------------------------------------
+
+
+def _allow_every_intersection(monkeypatch):
+    monkeypatch.setattr(verify, "zigzag_guard", lambda support: lambda rule, I, J: True)
+
+
+def test_sweep_without_the_guard_reports_rebuildable_violations(monkeypatch):
+    """With a guard that allows every intersection, 19 of the 1,000 trials
+    of seed 0 derive 38 false facts.  Each record rebuilds through
+    ``_sweep_case`` (its bijection and axioms), and the brute-force oracle
+    finds its fact false there."""
+    _allow_every_intersection(monkeypatch)
+    report = verify.soundness_sweep(seed=0, trials=1000)
+    assert not report.passed and len(report.violations) == 38
+    assert len({v["trial_seed"] for v in report.violations}) == 19
+    for v in report.violations:
+        world, perm, truths, axioms = verify._sweep_case(v["trial_seed"])
+        assert perm.tolist() == v["perm"] and [str(a) for a in axioms] == v["axioms"]
+        (fact,) = parse_facts(v["fact"], world.n)
+        assert not set(fact.atoms()) <= truths
+        assert not check_fact_brute(world, CandidateModel(world, perm), fact), v
+
+
+def test_cli_sweep_without_the_guard_exits_one(monkeypatch):
+    """Trial 38 of seed 0 is the first to derive false facts (two)."""
+    _allow_every_intersection(monkeypatch)
+    res = CliRunner().invoke(main, ["verify", "--sweep", "--seed", "0", "--trials", "50"])
+    assert res.exit_code == 1, res.output
+    assert res.output.splitlines() == ["sweep: 50 trials, 298 facts, 2 violations"]
+
+
+def _statuses(report) -> dict[str, str]:
+    return {c.name: c.status for c in report.checks}
+
+
+def _theorem_checks_failing(report) -> list[str]:
+    return [name for name, status in _statuses(report).items() if status == "fail"]
+
+
+def test_guarantee_report_with_a_violating_bijection_is_not_ok():
+    spec = verify.SupervisionSpec("share-pairing", (1,))
+    fact = Fact("C", IndexSet.of([1], 2))
+    assert GuaranteeReport(spec, fact, 2, ()).ok
+    assert not GuaranteeReport(spec, fact, 2, ((1, 0),)).ok
+    assert not GuaranteeReport(spec, fact, 0, ()).ok
+
+
+def test_universality_names_a_violated_case(monkeypatch):
+    """The first case made to violate fails universality, and the detail names
+    that case and no other."""
+    real, calls = verify.verify_guarantee, []
+
+    def first_violates(world, spec):
+        res = real(world, spec)
+        calls.append(f"{world!r} {spec.to_string()}")
+        if len(calls) > 1:
+            return res
+        return dataclasses.replace(res, violating_perms=(tuple(range(world.support_size))[::-1],))
+
+    monkeypatch.setattr(verify, "verify_guarantee", first_violates)
+    report = verify.verify_theorem_guarantees(support_max=4)
+    assert _theorem_checks_failing(report) == ["theorem-guarantee-universality"]
+    assert calls[0] == "DiscreteWorld(cards=(2,), support=2) label:1"
+    assert report.checks[0].detail == f"{len(calls)} (world, supervision) cases; failures: {calls[:1]}"
+
+
+def _patch_mig(monkeypatch, gap):
+    real = verify.mig
+    monkeypatch.setattr(verify, "mig", lambda target: dataclasses.replace(
+        real(target), per_factor=tuple(gap(g) for g in real(target).per_factor)))
+
+
+def test_share_gap_below_one_fails(monkeypatch):
+    _patch_mig(monkeypatch, lambda g: min(g, float(np.nextafter(1.0, 0.0))))
+    report = verify.verify_theorem_guarantees(support_max=4)
+    assert _theorem_checks_failing(report) == ["complete-share-perfect-information-gap"]
+
+
+def test_gap_that_never_collapses_fails(monkeypatch):
+    _patch_mig(monkeypatch, lambda g: max(g, 2.0**-52))
+    report = verify.verify_theorem_guarantees(support_max=4)
+    assert _theorem_checks_failing(report) == ["unsupervised-information-gap-collapse"]
+
+
+def _flip_first_verdict(monkeypatch):
+    """``generator_holds`` as ``verify`` looks it up, with the verdicts of
+    the first bijection negated."""
+    real = verify.generator_holds
+
+    def flipped(world, perms, facts):
+        out = real(world, perms, facts).copy()
+        out[0] = ~out[0]
+        return out
+
+    monkeypatch.setattr(verify, "generator_holds", flipped)
+
+
+def test_flipped_verdict_fails_the_impossibility_and_nuisance_checks(monkeypatch):
+    _flip_first_verdict(monkeypatch)
+    report = verify.verify_theorem_guarantees(support_max=4)
+    assert _theorem_checks_failing(report) == ["impossibility-witness-counts", "nuisance-matched-set-eta-disentangled"]
+    nuisance = check_nuisance_guarantee(uniform_world((2, 2)), supervised=1)
+    assert _statuses(nuisance)["nuisance-matched-set-eta-disentangled"] == "fail"
+
+
+def test_cli_theorems_with_a_flipped_verdict_exits_one(monkeypatch):
+    _flip_first_verdict(monkeypatch)
+    res = CliRunner().invoke(main, ["verify", "--theorems", "--support-max", "4"])
+    assert res.exit_code == 1, res.output
+    assert "[FAIL] impossibility-witness-counts" in res.output and res.output.endswith("overall: FAIL\n")
+
