@@ -63,20 +63,37 @@ def test_arity_mismatch():
         DiscreteWorld((2, 2), [0.25] * 4, [0, 1, 2, 3], ordered=[True])
 
 
+_CAP = DEFAULT_SUPPORT_CAP + 1
+
+
 @pytest.mark.parametrize(
-    "cards, prior, gen, error",
+    "cards, prior, gen, error, message",
     [
-        ((), [1.0], [0], ArityMismatch),
-        ((2, 0), [], [], ArityMismatch),
-        ((2,), [1.5, -0.5], [0, 1], NonNormalizedPrior),
-        ((2,), [float("nan"), 1.0], [0, 1], NonNormalizedPrior),
-        ((2,), [0.5, 0.5], [0, -1], NonInjectiveGenerator),
+        ((), [1.0], [0], ArityMismatch, "factor cardinalities must be >= 1, got ()"),
+        ((2, 0), [], [], ArityMismatch, "factor cardinalities must be >= 1, got (2, 0)"),
+        ((2,), [1.5, -0.5], [0, 1], NonNormalizedPrior, "prior entries must be finite and nonnegative"),
+        ((2,), [float("nan"), 1.0], [0, 1], NonNormalizedPrior, "prior entries must be finite and nonnegative"),
+        ((2,), [0.5, 0.5], [0, -1], NonInjectiveGenerator, "positive-mass tuple mapped to negative observation id"),
+        ((2,), [float("inf"), 0.0], [0, 1], NonNormalizedPrior, "prior entries must be finite and nonnegative"),
+        ((2,), [0.6, 0.5], [0, 1], NonNormalizedPrior, "prior sums to 1.1, not 1 within 1e-12"),
+        ((2,), [0.5, 0.5], [1, 1], NonInjectiveGenerator, "generator repeats an observation id on the support"),
+        ((3,), [0.25, 0.25, 0.5], [1, 1, -1], NonInjectiveGenerator,
+         "positive-mass tuple mapped to negative observation id"),
+        ((2, 2), [0.5, 0.0, 0.0, 0.5], [3, -1, -1, 3], NonInjectiveGenerator,
+         "generator repeats an observation id on the support"),
+        ((_CAP,), [1 / _CAP] * _CAP, list(range(_CAP)), SupportTooLarge,
+         f"factor grid of {_CAP} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}"),
     ],
-    ids=["no-factors", "zero-cardinality", "negative-prior", "nan-prior", "negative-id-on-support"],
+    ids=["no-factors", "zero-cardinality", "negative-prior", "nan-prior", "negative-id-on-support",
+         "inf-prior", "prior-over", "repeated-id", "repeated-and-negative-id", "repeated-id-beside-zero-mass",
+         "grid-over-cap"],
 )
-def test_invalid_world_rejected(cards, prior, gen, error):
-    with pytest.raises(error):
+def test_invalid_world_rejected(cards, prior, gen, error, message):
+    """Each bad input raises its class with its message; a negative id is
+    reported before a repeated one."""
+    with pytest.raises(error) as exc:
         DiscreteWorld(cards, prior, gen)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
