@@ -198,11 +198,13 @@ def _exact_stats(support, probs, mapped, cards, sets, gap: bool = False):
         support.shape, np.asarray(support, dtype=np.int64).tobytes(), tuple(cards), tuple(sets))
     shape, cells = probs.shape[:-1] + (len(sets),), len(cell_seg)
     probs, mapped = probs.reshape(-1, support.shape[0]), mapped.reshape((-1,) + support.shape)
-    num, gaps = np.zeros((len(probs), len(sets))), np.zeros((len(probs), len(sets)))
+    num = np.zeros((len(probs), len(sets)))
+    gaps = np.zeros_like(num) if gap else None
     for lo in range(0, len(probs) if len(col) else 0, EXACT_CHUNK):
         bins = mapped[lo:lo + EXACT_CHUNK, :, col] + base  # (k, m, pairs)
         k = len(bins)
-        bins += np.arange(0, k * cells, cells)[:, None, None]
+        if k > 1:  # model i's cells come after those of the models before it
+            bins += np.arange(0, k * cells, cells)[:, None, None]
         table = np.bincount(bins.ravel(), np.repeat(probs[lo:lo + k], len(col)), k * cells).reshape(k, cells)
         w = np.add.reduceat(table, segs, axis=1)[:, cell_seg]  # each cell's group mass
         pair_num = np.add.reduceat(table * (w - table) / w, pair_cells, axis=1)

@@ -16,6 +16,7 @@ from itertools import compress, permutations
 
 import numpy as np
 
+from . import metrics
 from .calculus import Fact, RuleGuard, closure, entails, nuisance_closure
 from .continuous import rotation_world
 from .errors import ArityMismatch, SupportTooLarge
@@ -42,7 +43,8 @@ from .worlds import (
 )
 
 FACT_TOL = 1e-12
-_c_facts = cache(lambda n: tuple(Fact("C", IndexSet(n, bits)) for bits in range(1 << n)))
+_all_sets = cache(lambda n: tuple(IndexSet(n, bits) for bits in range(1 << n)))
+_atom_facts = cache(lambda n: {(kind, I.bits): Fact(kind, I) for kind in "CR" for I in _all_sets(n)})  # atom -> Fact
 
 
 # -- independent brute-force oracle ------------------------------------------------
@@ -168,14 +170,16 @@ class SweepReport:
 
 def _true_atoms(world: DiscreteWorld, perms) -> list[set[tuple[str, int]]]:
     """Exact truth of every C/R atom over all 2^n index sets, one atom set
-    per bijection in ``perms`` (..., m), from one verdict call: C(I) holds
-    when the raw consistency of I is zero, R(I) when that of ~I is."""
+    per bijection in ``perms`` (..., m), from one engine call: C(I) holds
+    when the raw consistency of I is within ``EXACT_TOL``, R(I) when ~I's is."""
     n = world.n
     full = (1 << n) - 1
-    zero = generator_holds(world, perms, _c_facts(n)).reshape(-1, 1 << n)
+    perms = np.asarray(perms, dtype=np.int64)
+    num = metrics._exact_stats(world.support, world.support_probs[perms], world.support[perms], world.cards,
+                               _all_sets(n))[0]
     return [
         {("C", bits) for bits in row} | {("R", full ^ bits) for bits in row}
-        for row in (list(compress(range(1 << n), z)) for z in zero.tolist())
+        for row in (list(compress(range(1 << n), z)) for z in (num <= metrics.EXACT_TOL).reshape(-1, 1 << n).tolist())
     ]
 
 
@@ -194,16 +198,14 @@ def _sweep_case(trial_seed: int):
     rng = np.random.default_rng(trial_seed)
     n = int(rng.integers(1, 4))
     cards = [int(rng.integers(2, 4)) for _ in range(n)]
-    corr = float(rng.choice([0.0, float(rng.uniform(0.0, 1.0)), 1.0]))
+    corr = (0.0, float(rng.uniform(0.0, 1.0)), 1.0)[rng.integers(3)]  # the draws of rng.choice
     world = random_world(int(rng.integers(2**31)), n, cards, corr)
     perm = rng.permutation(world.support_size)
 
     truths = _true_atoms(world, perm)[0]
-    axioms = [
-        Fact(kind, IndexSet(n, bits))
-        for kind, bits in sorted(truths)
-        if rng.random() < 0.5
-    ]
+    atoms = sorted(truths)
+    facts = _atom_facts(n)
+    axioms = [facts[atom] for atom, coin in zip(atoms, rng.random(len(atoms)).tolist()) if coin < 0.5]
     return world, perm, truths, axioms
 
 
@@ -224,7 +226,8 @@ def _sweep_trial(trial_seed: int) -> tuple[int, list[dict]]:
 def soundness_sweep(seed: int = 0, trials: int = 1000) -> SweepReport:
     """Random worlds and bijections: every fact the guarded closure derives
     from true axioms must itself be true under exact evaluation."""
-    trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
+    # trial i draws from child i of SeedSequence(seed), as ``spawn`` numbers them
+    trial_seeds = [int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0]) for i in range(trials)]
     results = [_sweep_trial(s) for s in trial_seeds]
     checked = sum(k for k, _ in results)
     violations = [v for _, vs in results for v in vs]

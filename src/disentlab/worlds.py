@@ -9,6 +9,7 @@ observation distribution match the oracle's by construction.
 from __future__ import annotations
 
 import json
+from functools import cache
 from math import prod
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,43 +48,42 @@ class DiscreteWorld:
 
     def __init__(self, cards: Sequence[int], prior, gen, ordered: Sequence[bool] | None = None):
         cards = tuple(int(k) for k in cards)
-        if not cards or any(k < 1 for k in cards):
+        if not cards or min(cards) < 1:
             raise ArityMismatch(f"factor cardinalities must be >= 1, got {cards}")
         if prod(cards) > DEFAULT_SUPPORT_CAP:
             raise SupportTooLarge(f"factor grid of {prod(cards)} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}")
         self.n = len(cards)
         self.cards = cards
 
+        # entries are finite and nonnegative iff the least is >= 0 (NaN is not) and the sum is finite
         prior = np.asarray(prior, dtype=float).reshape(cards)
-        if np.any(prior < 0) or not np.all(np.isfinite(prior)):
+        low, total = prior.min(), float(prior.sum())
+        if not low >= 0 or total == np.inf and not np.isfinite(prior).all():
             raise NonNormalizedPrior("prior entries must be finite and nonnegative")
-        total = float(prior.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise NonNormalizedPrior(f"prior sums to {total!r}, not 1 within {PROB_TOL}")
 
         gen = np.asarray(gen, dtype=np.int64).reshape(cards)
-        if ordered is None:
-            ordered = (True,) * self.n
-        self.ordered = tuple(bool(b) for b in ordered)
+        self.ordered = (True,) * self.n if ordered is None else tuple(bool(b) for b in ordered)
         if len(self.ordered) != self.n:
             raise ArityMismatch("ordered flags must have one entry per factor")
 
         mask = prior > 0
-        support = np.argwhere(mask).astype(np.int64)  # lexicographic row order
         ids = gen[mask]
-        if np.any(ids < 0):
+        ranked = np.sort(ids)  # nonempty: the mass sums to 1
+        if ranked[0] < 0:
             raise NonInjectiveGenerator("positive-mass tuple mapped to negative observation id")
-        if len(np.unique(ids)) != len(ids):
+        if np.count_nonzero(ranked[1:] == ranked[:-1]):
             raise NonInjectiveGenerator("generator repeats an observation id on the support")
 
         self.prior = prior
         self.gen = gen
-        self.support = support
+        self.support = np.array(np.nonzero(mask), dtype=np.int64).T  # np.argwhere: lexicographic row order
         self.support_probs = prior[mask]
         self.obs_ids = ids
         # dense row index over the factor grid, -1 off the support
         self._row = np.full(cards, -1, dtype=np.int64)
-        self._row[mask] = np.arange(len(support))
+        self._row[mask] = np.arange(len(ids))
         for arr in (self.prior, self.gen, self.support, self.support_probs, self.obs_ids, self._row):
             arr.flags.writeable = False
 
@@ -210,7 +210,7 @@ def random_world(seed: int, n: int, cards: Sequence[int], correlation: float = 0
     cards = tuple(int(k) for k in cards)
     if len(cards) != n:
         raise ArityMismatch(f"n={n} but {len(cards)} cardinalities given")
-    if not cards or any(k < 2 for k in cards):
+    if not cards or min(cards) < 2:
         raise ArityMismatch(f"random worlds need one or more cardinalities >= 2, got {cards}")
     if not 0.0 <= correlation <= 1.0:
         raise WorldError(f"correlation must lie in [0, 1], got {correlation}")
@@ -221,16 +221,16 @@ def random_world(seed: int, n: int, cards: Sequence[int], correlation: float = 0
     rng = np.random.default_rng(seed)
     prior = np.full(cards, (1.0 - correlation) / size)
     if correlation > 0.0:
-        diag = [tuple(v % k for k in cards) for v in range(max(cards))]
-        weights = rng.uniform(0.2, 1.0, len(diag))
+        # the largest factor's coordinate is v itself, so the cells are distinct
+        weights = rng.uniform(0.2, 1.0, max(cards))
         weights /= weights.sum()
-        for t, w in zip(diag, weights):
-            prior[t] += correlation * w
+        diag = np.arange(len(weights))
+        prior[tuple(diag % k for k in cards)] += correlation * weights
     prior /= prior.sum()
 
     gen = np.full(cards, -1, dtype=np.int64)
     mask = prior > 0
-    gen[mask] = rng.permutation(int(mask.sum()))
+    gen[mask] = rng.permutation(np.count_nonzero(mask))
     return DiscreteWorld(cards, prior, gen)
 
 
@@ -349,14 +349,14 @@ def zigzag_connectivity(support) -> Callable[[int, int], bool]:
     """
     support = np.asarray(support)
     m, n = support.shape
-    radix = support.max(axis=0) + 1
+    radix = cache(lambda: support.max(axis=0) + 1)  # at the first grouping: most guards never group
     groups: dict[int, tuple[np.ndarray, int]] = {}
     verdicts: dict[tuple[int, int], bool] = {}
 
     def group_min(bits: int, label: np.ndarray) -> np.ndarray:
         """Each row's least label among the rows sharing its values outside ``bits``."""
         if bits not in groups:
-            groups[bits] = group_ids(support, [c for c in range(n) if not bits >> c & 1], radix)
+            groups[bits] = group_ids(support, [c for c in range(n) if not bits >> c & 1], radix())
         ids, count = groups[bits]
         low = np.full(count, m)
         np.minimum.at(low, ids, label)
@@ -410,16 +410,8 @@ def schematic_world(kind: str) -> tuple[DiscreteWorld, CandidateModel]:
         model = CandidateModel.from_map(world, lambda t: (t[0] ^ t[1], t[1]))
         return world, model
     if kind == "zigzag-violation":
-        cards = (2, 2, 2)
-        prior = np.zeros(cards)
-        gen = np.full(cards, -1, dtype=np.int64)
-        next_id = 0
-        for a, b in ((0, 0), (1, 1)):
-            for c in (0, 1):
-                prior[a, b, c] = 0.25
-                gen[a, b, c] = next_id
-                next_id += 1
-        world = DiscreteWorld(cards, prior, gen)
+        # the cells (a, a, c) in row-major order, ids 0..3
+        world = DiscreteWorld((2, 2, 2), [0.25, 0.25, 0, 0, 0, 0, 0.25, 0.25], [0, 1, -1, -1, -1, -1, 2, 3])
         model = CandidateModel.from_map(world, lambda t: (t[0], t[1], t[2] ^ t[0]))
         return world, model
     raise WorldError(f"unknown schematic kind {kind!r}; expected one of {SCHEMATIC_KINDS}")
