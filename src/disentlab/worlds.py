@@ -55,9 +55,10 @@ class DiscreteWorld:
         self.n = len(cards)
         self.cards = cards
 
-        # entries are finite and nonnegative iff the least is >= 0 (NaN is not) and the sum is finite
+        # finite and nonnegative iff min >= 0 (NaN fails) and, if the sum is inf, every entry is finite
         prior = np.asarray(prior, dtype=float).reshape(cards)
-        low, total = prior.min(), float(prior.sum())
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, reported below
+            low, total = prior.min(), float(prior.sum())
         if not low >= 0 or total == np.inf and not np.isfinite(prior).all():
             raise NonNormalizedPrior("prior entries must be finite and nonnegative")
         if abs(total - 1.0) > PROB_TOL:

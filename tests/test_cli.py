@@ -230,6 +230,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
     "not-utf8": b'\xff{%s, "gen": [0, 1]}' % HALF.encode(),
     "gen-repeat": '{%s, "gen": [0, 0]}' % HALF,
     "prior-over": '{"version": 1, "n": 1, "cards": [2], "prior": [0.6, 0.5], "gen": [0, 1]}',
+    "prior-overflow": '{"version": 1, "n": 1, "cards": [2], "prior": [1e308, 1e308], "gen": [0, 1]}',
 }
 
 
@@ -283,6 +284,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "gen", "--schematic", "zigzag-violation", "--cards", "5,5,5", "--corr", "0.9", "--seed", "3"],
         ["world", "gen", "--schematic", "zigzag-violation", "--seed", "0"],
         ["score", *CNR, "--bijection", "0,1"],
+        ["world", "validate", "{tmp}/prior-overflow.json"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "tol-negative", "tol-nan", "tol-inf",
@@ -296,7 +298,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
          "cards-arabic-indic-digit", "spec-arabic-indic-digit", "world-not-utf8",
          "bijection-past-int64", "bijection-on-rotation", "world-gen-repeat", "world-prior-over",
          "gen-n-removed", "schematic-with-random-options", "schematic-with-default-seed",
-         "bijection-short"],
+         "bijection-short", "world-prior-overflow"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     for name, text in BAD_WORLDS.items():

@@ -76,6 +76,7 @@ _CAP = DEFAULT_SUPPORT_CAP + 1
         ((2,), [0.5, 0.5], [0, -1], NonInjectiveGenerator, "positive-mass tuple mapped to negative observation id"),
         ((2,), [float("inf"), 0.0], [0, 1], NonNormalizedPrior, "prior entries must be finite and nonnegative"),
         ((2,), [0.6, 0.5], [0, 1], NonNormalizedPrior, "prior sums to 1.1, not 1 within 1e-12"),
+        ((2,), [1e308, 1e308], [0, 1], NonNormalizedPrior, "prior sums to inf, not 1 within 1e-12"),
         ((2,), [0.5, 0.5], [1, 1], NonInjectiveGenerator, "generator repeats an observation id on the support"),
         ((3,), [0.25, 0.25, 0.5], [1, 1, -1], NonInjectiveGenerator,
          "positive-mass tuple mapped to negative observation id"),
@@ -85,12 +86,13 @@ _CAP = DEFAULT_SUPPORT_CAP + 1
          f"factor grid of {_CAP} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}"),
     ],
     ids=["no-factors", "zero-cardinality", "negative-prior", "nan-prior", "negative-id-on-support",
-         "inf-prior", "prior-over", "repeated-id", "repeated-and-negative-id", "repeated-id-beside-zero-mass",
+         "inf-prior", "prior-over", "prior-sum-overflow", "repeated-id", "repeated-and-negative-id", "repeated-id-beside-zero-mass",
          "grid-over-cap"],
 )
 def test_invalid_world_rejected(cards, prior, gen, error, message):
-    """Each bad input raises its class with its message; a negative id is
-    reported before a repeated one."""
+    """Each bad input raises its class with its message, and no warning: a
+    sum that overflows reads inf.  A negative id is reported before a
+    repeated one."""
     with pytest.raises(error) as exc:
         DiscreteWorld(cards, prior, gen)
     assert str(exc.value) == message
