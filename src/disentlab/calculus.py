@@ -385,6 +385,8 @@ def parse_facts(text: str, n: int, nuisance: bool = False) -> list[Fact]:
             if tok == ETA:
                 if not nuisance:
                     raise FactParseError("index 'eta' needs the nuisance universe")
+                if eta_kind:
+                    raise NuisanceInAxiomIndexSet(f"eta-facts range over factors 1..{n}; {part.strip()!r} names eta")
                 indices.append(n + 1)
             elif tok.isascii() and tok.isdigit():
                 indices.append(int(tok))

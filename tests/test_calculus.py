@@ -340,6 +340,15 @@ def test_parse_eta_tokens():
     assert [str(f) for f in facts] == ["C{1}", "R{2,eta}"]
 
 
+@pytest.mark.parametrize("text", ["Ceta{eta}", "Reta{1,eta}", "Deta{ eta }"])
+def test_parse_rejects_eta_inside_eta_fact_sugar(text):
+    """The sugar adds eta itself; naming it inside states that rule, not an
+    index n+1 that was never typed."""
+    with pytest.raises(NuisanceInAxiomIndexSet) as exc:
+        parse_facts(text, 2, nuisance=True)
+    assert str(exc.value) == f"eta-facts range over factors 1..2; {text!r} names eta"
+
+
 def test_parse_errors():
     for bad in ("C{9}", "X{1}", "C{1", "C{one}", "Ceta{1}", "C{eta}"):
         with pytest.raises((FactParseError, CalculusError)):

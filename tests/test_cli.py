@@ -285,6 +285,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
         ["world", "gen", "--schematic", "zigzag-violation", "--seed", "0"],
         ["score", *CNR, "--bijection", "0,1"],
         ["world", "validate", "{tmp}/prior-overflow.json"],
+        ["calc", "--n", "2", "--nuisance", "--axioms", "Ceta{eta}"],
     ],
     ids=["bijection", "set-range", "set-token", "samples-zero", "samples-negative", "seed-negative",
          "tol-negative", "tol-nan", "tol-inf",
@@ -298,7 +299,7 @@ BAD_WORLDS = {  # world files the CLI must reject with one line
          "cards-arabic-indic-digit", "spec-arabic-indic-digit", "world-not-utf8",
          "bijection-past-int64", "bijection-on-rotation", "world-gen-repeat", "world-prior-over",
          "gen-n-removed", "schematic-with-random-options", "schematic-with-default-seed",
-         "bijection-short", "world-prior-overflow"],
+         "bijection-short", "world-prior-overflow", "eta-inside-eta-fact"],
 )
 def test_bad_input_exits_two_with_one_line(runner, tmp_path, args):
     for name, text in BAD_WORLDS.items():
