@@ -135,9 +135,9 @@ def test_criterion_3_counterexample_suite_exact():
 
 
 def test_criterion_4_calculus_soundness_sweep():
-    # about 3x the slowest time measured (0.29-0.62 s alone, 0.42-0.71 s
+    # about 3x the slowest time measured (0.15-0.21 s alone, 0.27-0.37 s
     # beside two benchmark processes on 2 CPUs)
-    c = Criterion(4, "guarded closure derives no false fact", 2.2)
+    c = Criterion(4, "guarded closure derives no false fact", 1.1)
     exhaustive = exhaustive_bijection_sweep(uniform_world((2, 2)))
     random_part = soundness_sweep(seed=7, trials=1000)
     ok = exhaustive.passed and random_part.passed

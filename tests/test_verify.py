@@ -382,7 +382,8 @@ def _flip_first_verdict(monkeypatch):
 def test_flipped_verdict_fails_the_impossibility_and_nuisance_checks(monkeypatch):
     _flip_first_verdict(monkeypatch)
     report = verify.verify_theorem_guarantees(support_max=4)
-    assert _theorem_checks_failing(report) == ["impossibility-witness-counts", "nuisance-matched-set-eta-disentangled"]
+    failing = _theorem_checks_failing(report)
+    assert failing == ["impossibility-witness-counts", "nuisance-matched-set-eta-disentangled"]
     nuisance = check_nuisance_guarantee(uniform_world((2, 2)), supervised=1)
     assert _statuses(nuisance)["nuisance-matched-set-eta-disentangled"] == "fail"
 

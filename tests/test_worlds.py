@@ -86,8 +86,8 @@ _CAP = DEFAULT_SUPPORT_CAP + 1
          f"factor grid of {_CAP} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}"),
     ],
     ids=["no-factors", "zero-cardinality", "negative-prior", "nan-prior", "negative-id-on-support",
-         "inf-prior", "prior-over", "prior-sum-overflow", "repeated-id", "repeated-and-negative-id", "repeated-id-beside-zero-mass",
-         "grid-over-cap"],
+         "inf-prior", "prior-over", "prior-sum-overflow", "repeated-id", "repeated-and-negative-id",
+         "repeated-id-beside-zero-mass", "grid-over-cap"],
 )
 def test_invalid_world_rejected(cards, prior, gen, error, message):
     """Each bad input raises its class with its message, and no warning: a
