@@ -25,6 +25,9 @@ FILES = {
 SCHEMATICS = ["consistent-not-restrictive", "restrictive-not-consistent", "zigzag-violation"]
 SMALL = ["--trials", "200", "--samples", "5000"]
 COMMANDS = [
+    # help pages: no option is added or removed unnoticed
+    *[f"{cmd} --help".lstrip() for cmd in ("", "world", "world gen", "world validate", "world inspect",
+                                           "dataset", "score", "calc", "verify")],
     # world
     "world gen --seed 1 --cards 2,2 --out w.json",
     "world gen --seed 2 --cards 2,3,2 --corr 0.3 --out w3.json",
