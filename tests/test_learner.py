@@ -15,6 +15,7 @@ from disentlab import (
     find_violating_model,
     holds,
     mig,
+    plan_supervision,
     random_world,
     uniform_world,
     verify_guarantee,
@@ -320,3 +321,24 @@ def test_vacuous_guarantee_keeps_support_cap():
         with pytest.raises(SupportTooLarge) as closed:
             verify_guarantee(world, s)
         assert str(closed.value) == str(listed.value)
+
+
+def test_every_plan_entails_its_goal_on_the_matched_set():
+    """The planner's promise, checked against the learner: every model
+    that matches all specs of a returned plan satisfies the plan's goal,
+    for every C/R/D goal over every nonempty set on the battery worlds."""
+    plans = 0
+    for world in theorem_battery(support_max=6):
+        n = world.n
+        if n < 2:
+            continue
+        specs = battery_specs(world)
+        for kind in ("C", "R", "D"):
+            for bits in range(1, 1 << n):
+                goal = Fact(kind, IndexSet(n, bits))
+                for plan in plan_supervision(n, [goal], specs, 2):
+                    perms = learner.matched_perms(world, list(plan))
+                    assert len(perms), (world, plan)
+                    assert generator_holds(world, perms, goal).all(), (world, goal, plan)
+                    plans += 1
+    assert plans > 0
