@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import ArityTooLarge, CalculusError, FactParseError, NuisanceInAxiomIndexSet
+from .errors import ArityMismatch, ArityTooLarge, CalculusError, FactParseError, NuisanceInAxiomIndexSet
 from .indexset import ETA, IndexSet
 
 MAX_UNIVERSE = 16
@@ -392,14 +392,11 @@ def parse_facts(text: str, n: int, nuisance: bool = False) -> list[Fact]:
                 indices.append(int(tok))
             else:
                 raise FactParseError(f"bad index {tok!r} in {part.strip()!r}")
-        if eta_kind:
-            if not nuisance:
-                raise FactParseError(f"{kind}eta facts need the nuisance universe")
-            base = Fact(kind, IndexSet.of(indices, n))
-            facts.extend(expand_eta_fact(base, n))
-        else:
-            try:
-                facts.append(Fact(kind, IndexSet.of(indices, n, nuisance)))
-            except Exception as exc:
-                raise FactParseError(f"bad fact {part.strip()!r}: {exc}") from exc
+        if eta_kind and not nuisance:
+            raise FactParseError(f"{kind}eta facts need the nuisance universe")
+        try:  # eta-fact sugar ranges over the regular factors only
+            fact = Fact(kind, IndexSet.of(indices, n, nuisance and not eta_kind))
+        except ArityMismatch as exc:
+            raise FactParseError(f"bad fact {part.strip()!r}: {exc}") from exc
+        facts.extend(expand_eta_fact(fact, n) if eta_kind else [fact])
     return facts

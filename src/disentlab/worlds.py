@@ -50,13 +50,20 @@ class DiscreteWorld:
         cards = tuple(int(k) for k in cards)
         if not cards or min(cards) < 1:
             raise ArityMismatch(f"factor cardinalities must be >= 1, got {cards}")
-        if prod(cards) > DEFAULT_SUPPORT_CAP:
-            raise SupportTooLarge(f"factor grid of {prod(cards)} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}")
+        size = prod(cards)
+        if size > DEFAULT_SUPPORT_CAP:
+            raise SupportTooLarge(f"factor grid of {size} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}")
         self.n = len(cards)
         self.cards = cards
+        try:  # new arrays, so the caller cannot change a built world
+            prior, gen = np.array(prior, dtype=float), np.array(gen, dtype=np.int64)
+        except OverflowError as exc:
+            raise WorldError(f"prior or gen entry out of range: {exc}") from exc
+        if prior.size != size or gen.size != size:
+            raise WorldError(f"prior/gen arrays must have {size} entries (row-major)")
+        prior, gen = prior.reshape(cards), gen.reshape(cards)
 
         # finite and nonnegative iff min >= 0 (NaN fails) and, if the sum is inf, every entry is finite
-        prior = np.asarray(prior, dtype=float).reshape(cards)
         with np.errstate(over="ignore"):  # a sum past the largest float is inf, reported below
             low, total = prior.min(), float(prior.sum())
         if not low >= 0 or total == np.inf and not np.isfinite(prior).all():
@@ -64,7 +71,6 @@ class DiscreteWorld:
         if abs(total - 1.0) > PROB_TOL:
             raise NonNormalizedPrior(f"prior sums to {total!r}, not 1 within {PROB_TOL}")
 
-        gen = np.asarray(gen, dtype=np.int64).reshape(cards)
         self.ordered = (True,) * self.n if ordered is None else tuple(bool(b) for b in ordered)
         if len(self.ordered) != self.n:
             raise ArityMismatch("ordered flags must have one entry per factor")
@@ -175,13 +181,6 @@ def world_from_doc(doc: dict) -> DiscreteWorld:
         raise WorldError("ordered must be null or an array of booleans")
     if len(cards) != n:
         raise ArityMismatch(f"n={n} but {len(cards)} cardinalities listed")
-    size = prod(cards)
-    if len(prior) != size or len(gen) != size:
-        raise WorldError(f"prior/gen arrays must have {size} entries (row-major)")
-    try:
-        prior, gen = np.asarray(prior, dtype=float), np.asarray(gen, dtype=np.int64)
-    except OverflowError as exc:
-        raise WorldError(f"prior or gen entry out of range: {exc}") from exc
     return DiscreteWorld(cards, prior, gen, ordered)
 
 
@@ -263,7 +262,7 @@ class CandidateModel:
                 isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries.flat):
             raise WorldError("perm entries must be integers")
         try:
-            perm = np.asarray(entries, dtype=np.int64)
+            perm = np.array(entries, dtype=np.int64)
         except OverflowError as exc:
             raise WorldError(f"perm entry out of range: {exc}") from exc
         m = world.support_size

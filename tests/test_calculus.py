@@ -355,6 +355,13 @@ def test_parse_errors():
             parse_facts(bad, 3)
 
 
+def test_parse_wraps_an_index_outside_eta_fact_sugar():
+    """Eta-fact sugar reports an index out of range as plain facts do."""
+    with pytest.raises(FactParseError) as exc:
+        parse_facts("Ceta{3}", 2, nuisance=True)
+    assert str(exc.value) == "bad fact 'Ceta{3}': index 3 outside 1..2"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["C", "R", "D"]), st.integers(0, 15), st.booleans())
 def test_printed_form_round_trips(kind, bits, nuisance):

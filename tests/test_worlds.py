@@ -84,10 +84,11 @@ _CAP = DEFAULT_SUPPORT_CAP + 1
          "generator repeats an observation id on the support"),
         ((_CAP,), [1 / _CAP] * _CAP, list(range(_CAP)), SupportTooLarge,
          f"factor grid of {_CAP} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}"),
+        ((2, 2), [.5, .5], [0, 1], WorldError, "prior/gen arrays must have 4 entries (row-major)"),
     ],
     ids=["no-factors", "zero-cardinality", "negative-prior", "nan-prior", "negative-id-on-support",
          "inf-prior", "prior-over", "prior-sum-overflow", "repeated-id", "repeated-and-negative-id",
-         "repeated-id-beside-zero-mass", "grid-over-cap"],
+         "repeated-id-beside-zero-mass", "grid-over-cap", "short-arrays"],
 )
 def test_invalid_world_rejected(cards, prior, gen, error, message):
     """Each bad input raises its class with its message, and no warning: a
@@ -96,6 +97,20 @@ def test_invalid_world_rejected(cards, prior, gen, error, message):
     with pytest.raises(error) as exc:
         DiscreteWorld(cards, prior, gen)
     assert str(exc.value) == message
+
+
+def test_out_of_range_entry_rejected():
+    with pytest.raises(WorldError, match="prior or gen entry out of range"):
+        DiscreteWorld((2,), [.5, .5], [0, 2**63])
+
+
+def test_world_keeps_its_own_arrays():
+    """Changing the caller's arrays afterwards leaves the world as built."""
+    p, g = np.array([0.5, 0.5]), np.array([0, 1])
+    w = DiscreteWorld((2,), p, g)
+    p[0] = 7.0
+    g[1] = 0
+    assert w.prior.tolist() == [0.5, 0.5] and w.gen.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -449,6 +464,18 @@ def test_candidate_rejects_non_integer_entries(world22):
             CandidateModel(world22, perm)
     with pytest.raises(WorldError, match="perm entries must be integers"):
         CandidateModel(uniform_world((2,)), [True, False])
+
+
+def test_candidate_keeps_its_own_perm(world22):
+    """The caller's array stays writeable, and a model built from a row of
+    a 2-D array keeps its perm when that array changes."""
+    p = np.array([1, 0, 2, 3])
+    CandidateModel(world22, p)
+    assert p.flags.writeable
+    rows = np.array([[1, 0, 2, 3], [0, 1, 2, 3]])
+    model = CandidateModel(world22, rows[0])
+    rows[0] = [3, 2, 1, 0]
+    assert model.perm.tolist() == [1, 0, 2, 3]
 
 
 def test_pushforward_observation_distribution_matches():
