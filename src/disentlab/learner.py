@@ -27,11 +27,27 @@ and ``np.nonzero`` lists the extensions in row-major order, so every level
 stays in lexicographic order, the order of
 ``itertools.permutations(range(m))``.  Each labeling and rank entry of the
 augmented table depends on one row or one pair, so there the conditions
-are the table comparison itself.  Match-pairing leaves are accepted
-``LEAF_CHUNK`` at a time by one vectorised exact sup-norm comparison of
-the candidates' tables with the oracle's, all built by
-``supervision.dense_table``, the builder behind ``augmented_table``.  The
-matched set is therefore the same, in the same order, as filtering
+are the table comparison itself.
+
+Match-pairing conditions decide the table match too once every pair mass
+p[j] p[j2] (j != j2) exceeds 2 tol, which ``matched_perms`` reads off the
+two smallest support masses.  Then neither exemption in ``_constraints``
+applies: no target pair has p[j] p[j2] <= 2 tol, and an oracle kernel
+entry inside one I-group is p[j] p[j2] / W with the group mass W at most 1
+up to rounding, so no such entry is <= tol.  A latent pair inside one I-group must then map inside
+one oracle I-group and a pair across groups across groups, and the leaves
+are exactly the bijections that map each I-group onto an I-group.  Their
+tables hold, inside each group, q[r] q[r2] / W' with q = p[perm], the
+oracle's own product p[j] p[j2], and a group mass W' that adds the same
+at most m floats as the oracle's W in another order; across groups both
+are zero.  The two sums differ by about 2 (m - 1) 2^-53 relative, far
+below tol, so every leaf matches and the leaves are returned as they are.
+Below that mass a leaf may still fail (light rows of two groups may trade
+places while the shifted group masses move the heavy rows' entries), so
+those leaves are accepted ``LEAF_CHUNK`` at a time by one vectorised exact
+sup-norm comparison of the candidates' tables with the oracle's, all built
+by ``supervision.dense_table``, the builder behind ``augmented_table``.
+The matched set is therefore the same, in the same order, as filtering
 ``itertools.permutations`` through ``tables_match``.  The cap
 ``MAX_ENUM_SUPPORT`` still applies to the support size.
 
@@ -65,6 +81,7 @@ from .worlds import CandidateModel, DiscreteWorld
 
 MAX_ENUM_SUPPORT = 8  # 8! = 40320 bijections
 LEAF_CHUNK = 512  # leaves per vectorised leaf check: at most 512 m^2 floats per array
+_DECIDING_PAIR_MASS = 2 * MASS_TOL  # above it for every pair, no leaf needs a table check
 
 
 def _constraints(world: DiscreteWorld, specs: list[SupervisionSpec]):
@@ -139,9 +156,10 @@ def matched_perms(world: DiscreteWorld, specs: list[SupervisionSpec]) -> np.ndar
     _check_support_cap(world)
     allowed, pairs, kernels = _constraints(world, specs)
     leaves = _bijections(allowed, pairs)
-    if not kernels:
-        return leaves
     p = world.support_probs
+    # the smallest pair mass; a one-row support has no pair and gives its mass 1
+    if not kernels or np.sort(p)[:2].prod() > _DECIDING_PAIR_MASS:
+        return leaves
     chunks = [_accepted(p, leaves[lo:lo + LEAF_CHUNK], kernels) for lo in range(0, len(leaves), LEAF_CHUNK)]
     return np.concatenate([leaves[:0], *chunks])
 

@@ -167,9 +167,9 @@ def test_criterion_5_theorem_guarantee_universality():
 
 def test_criterion_5_at_enumeration_cap():
     # the theorem suite at support 8 = MAX_ENUM_SUPPORT; about 3x the slowest
-    # time measured (0.20-0.30 s alone, up to 0.56 s beside two benchmark
+    # time measured (0.11-0.18 s alone, up to 0.27 s beside two benchmark
     # processes on 2 CPUs)
-    c = Criterion(5, "the theorem suite finishes at the enumeration cap", 1.7)
+    c = Criterion(5, "the theorem suite finishes at the enumeration cap", 0.8)
     report = verify_theorem_guarantees(support_max=8, seed=0)
     universality = report.checks[0]
     ok = (

@@ -7,6 +7,7 @@ import pytest
 
 from disentlab import (
     CandidateModel,
+    DiscreteWorld,
     EvaluationTarget,
     Fact,
     IndexSet,
@@ -23,7 +24,7 @@ from disentlab import (
 from disentlab import learner
 from disentlab.errors import SupportTooLarge
 from disentlab.metrics import generator_holds
-from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, RESTRICTED_LABELING
+from disentlab.supervision import MASS_TOL, MATCH_PAIRING, RANK_PAIRING, RESTRICTED_LABELING
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import (
     GROUP_MASS_EDGE,
@@ -34,7 +35,7 @@ from reference_tables import (
     reference_tables,
 )
 
-CAP_BUDGET_S = 0.4  # about 3x the largest time measured at support 8 (0.131 s, two competing processes on 2 CPUs)
+CAP_BUDGET_S = 0.12  # about 3x the largest time measured at support 8 (0.038 s, beside two benchmark processes on 2 CPUs)
 
 
 def spec(kind, *indices):
@@ -108,6 +109,70 @@ def test_matched_lists_equal_brute_force_across_leaf_chunks(chunk, monkeypatch):
     monkeypatch.setattr(learner, "LEAF_CHUNK", chunk)
     assert matched_perms(GROUP_MASS_EDGE, specs) == expected
     assert learner.matched_perms(GROUP_MASS_EDGE, specs).tolist() == [list(p) for p in expected]
+
+
+def spec_lists(world):
+    """Each battery spec alone, and for two or more factors complete share
+    pairing and a share + label list."""
+    lists = [[s] for s in battery_specs(world)]
+    if world.n >= 2:
+        lists += [complete_share(world.n), [spec("share-pairing", 1), spec("restricted-labeling", 2)]]
+    return lists
+
+
+def smallest_pair_mass(world):
+    p = np.sort(world.support_probs)
+    return p[0] * p[1]
+
+
+def assert_same_as_leaf_check(world, monkeypatch, brute):
+    """The matched sets equal, in order, those with every match-pairing
+    leaf table-checked, and brute force when asked."""
+    for specs in spec_lists(world):
+        got = learner.matched_perms(world, specs)
+        with monkeypatch.context() as forced:
+            forced.setattr(learner, "_DECIDING_PAIR_MASS", np.inf)
+            checked = learner.matched_perms(world, specs)
+        assert np.array_equal(got, checked), (world, specs)
+        if brute:
+            assert got.tolist() == [list(p) for p in brute_matched(world, specs)], (world, specs)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 13])
+def test_pair_conditions_decide_matched_sets_on_battery(seed, monkeypatch):
+    """Every battery world up to MAX_ENUM_SUPPORT has every pair mass above
+    2 MASS_TOL, so its leaves skip the table check; the matched sets equal
+    the leaf-checked ones, and brute force up to support 6 (seeds 11 and
+    13 are compared with brute force above)."""
+    for world in theorem_battery(support_max=learner.MAX_ENUM_SUPPORT, seed=seed):
+        assert smallest_pair_mass(world) > 2 * MASS_TOL
+        assert_same_as_leaf_check(world, monkeypatch, brute=seed == 0 and world.support_size <= 6)
+
+
+def near_threshold_world(cards, light_rows, above):
+    """A world whose light rows all have mass x, x * x being the smallest
+    float above 2 MASS_TOL or the largest at or below it; the heavy rows
+    share the rest equally."""
+    x = np.sqrt(2 * MASS_TOL)
+    while x * x > 2 * MASS_TOL:
+        x = np.nextafter(x, 0.0)
+    if above:
+        x = np.nextafter(x, 1.0)
+    size = int(np.prod(cards))
+    prior = np.full(size, (1 - len(light_rows) * x) / (size - len(light_rows)))
+    prior[list(light_rows)] = x
+    return DiscreteWorld(cards, prior, np.arange(size))
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above", "at-or-below"])
+@pytest.mark.parametrize("cards, light_rows", [((2, 3), (1, 2, 4, 5)), ((2, 3), (2, 3)), ((2, 2, 2), (1, 6))])
+def test_pair_conditions_decide_matched_sets_near_threshold(cards, light_rows, above, monkeypatch):
+    """Worlds whose smallest pair mass sits one float above 2 MASS_TOL skip
+    the leaf check, those at or below it keep it; both equal the leaf
+    check, and brute force up to support 6."""
+    world = near_threshold_world(cards, light_rows, above)
+    assert (smallest_pair_mass(world) > 2 * MASS_TOL) == above
+    assert_same_as_leaf_check(world, monkeypatch, brute=world.support_size <= 6)
 
 
 def test_no_supervision_matches_every_bijection(world22):
