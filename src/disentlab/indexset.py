@@ -6,6 +6,7 @@ include one nuisance index, written ``eta`` and stored as index n+1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -52,6 +53,10 @@ class IndexSet:
         bits = 0
         limit = n + (1 if nuisance else 0)
         for i in indices:
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise ArityMismatch(f"index {i!r} is not an integer") from None
             if not 1 <= i <= limit:
                 raise ArityMismatch(f"index {i} outside 1..{limit}")
             bits |= 1 << (i - 1)

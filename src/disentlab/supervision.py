@@ -66,6 +66,9 @@ class SupervisionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SupervisionError(f"unknown supervision kind {self.kind!r}")
+        for i in self.indices:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise SupervisionError(f"factor index {i!r} is not an integer")
         object.__setattr__(self, "indices", tuple(sorted(set(int(i) for i in self.indices))))
         if self.kind == RANK_PAIRING and len(self.indices) != 1:
             raise SupervisionError("rank pairing targets exactly one factor")

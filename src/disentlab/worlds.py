@@ -37,6 +37,17 @@ SCHEMATIC_KINDS = (
 )
 
 
+def _integer_entries(values, name: str) -> np.ndarray:
+    """``values`` as an array whose entries are all integers: a float, even
+    an integral one, or a bool raises WorldError rather than being cast.
+    Python ints stay objects, so one past int64 still reads out of range."""
+    entries = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if entries.dtype.kind not in "iu" and not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries.flat):
+        raise WorldError(f"{name} entries must be integers")
+    return entries
+
+
 class DiscreteWorld:
     """An exact oracle over a finite factor space.
 
@@ -55,6 +66,7 @@ class DiscreteWorld:
             raise SupportTooLarge(f"factor grid of {size} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}")
         self.n = len(cards)
         self.cards = cards
+        gen = _integer_entries(gen, "gen")
         try:  # new arrays, so the caller cannot change a built world
             prior, gen = np.array(prior, dtype=float), np.array(gen, dtype=np.int64)
         except OverflowError as exc:
@@ -257,10 +269,7 @@ class CandidateModel:
     """
 
     def __init__(self, world: DiscreteWorld, perm: Sequence[int]):
-        entries = perm if isinstance(perm, np.ndarray) else np.asarray(perm, dtype=object)
-        if entries.dtype.kind not in "iu" and not all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries.flat):
-            raise WorldError("perm entries must be integers")
+        entries = _integer_entries(perm, "perm")
         try:
             perm = np.array(entries, dtype=np.int64)
         except OverflowError as exc:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +26,16 @@ def test_out_of_range_index_rejected():
         IndexSet(2, 0b100)
     with pytest.raises(ArityMismatch, match="negative arity"):
         IndexSet(-1, 0)
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, "1", None])
+def test_non_integer_index_rejected(index):
+    with pytest.raises(ArityMismatch, match=f"index {index!r} is not an integer"):
+        IndexSet.of([index], 2)
+
+
+def test_numpy_integer_index_accepted():
+    assert IndexSet.of([np.int64(2)], 2) == IndexSet.of([2], 2)
 
 
 def test_nuisance_index_is_n_plus_one():

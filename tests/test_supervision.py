@@ -65,6 +65,20 @@ def test_invalid_spec_rejected(kind, indices, message):
         SupervisionSpec(kind, indices)
 
 
+@pytest.mark.parametrize("index", [1.7, 2.0, "2", True, None], ids=["fraction", "float", "string", "bool", "none"])
+def test_non_integer_index_rejected(index):
+    """An index that is not an integer is refused, not cast: 1.7, "2" and
+    True used to become share:1, share:2 and share:1."""
+    with pytest.raises(SupervisionError, match=f"factor index {index!r} is not an integer"):
+        SupervisionSpec("share-pairing", (index,))
+
+
+def test_numpy_integer_index_kept_as_int():
+    s = SupervisionSpec("share-pairing", (np.int64(2), 1))
+    assert s.indices == (1, 2) and all(type(i) is int for i in s.indices)
+    assert s.to_string() == "share:1,2"
+
+
 def test_exact_table_needs_a_discrete_object():
     _, cand = rotation_world()
     with pytest.raises(SupervisionError, match="exact tables need a discrete world or model"):

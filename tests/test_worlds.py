@@ -85,10 +85,16 @@ _CAP = DEFAULT_SUPPORT_CAP + 1
         ((_CAP,), [1 / _CAP] * _CAP, list(range(_CAP)), SupportTooLarge,
          f"factor grid of {_CAP} cells exceeds the support cap {DEFAULT_SUPPORT_CAP}"),
         ((2, 2), [.5, .5], [0, 1], WorldError, "prior/gen arrays must have 4 entries (row-major)"),
+        ((2,), [.5, .5], [0.0, 1.7], WorldError, "gen entries must be integers"),
+        ((2,), [.5, .5], [0, 1.0], WorldError, "gen entries must be integers"),
+        ((2,), [.5, .5], np.array([0.0, 1.0]), WorldError, "gen entries must be integers"),
+        ((2,), [.5, .5], [False, True], WorldError, "gen entries must be integers"),
+        ((2,), [.5, .5], ["0", "1"], WorldError, "gen entries must be integers"),
     ],
     ids=["no-factors", "zero-cardinality", "negative-prior", "nan-prior", "negative-id-on-support",
          "inf-prior", "prior-over", "prior-sum-overflow", "repeated-id", "repeated-and-negative-id",
-         "repeated-id-beside-zero-mass", "grid-over-cap", "short-arrays"],
+         "repeated-id-beside-zero-mass", "grid-over-cap", "short-arrays", "fractional-id", "float-id",
+         "float-id-array", "bool-id", "string-id"],
 )
 def test_invalid_world_rejected(cards, prior, gen, error, message):
     """Each bad input raises its class with its message, and no warning: a
