@@ -43,6 +43,7 @@ from .worlds import (
 )
 
 FACT_TOL = 1e-12
+BRUTE_SUPPORT_CAP = 1024  # its pair loop is quadratic: 0.7-0.9 s at 1,024 rows, about 3 s at 2,048
 _all_sets = cache(lambda n: tuple(IndexSet(n, bits) for bits in range(1 << n)))
 _atom_facts = cache(lambda n: {(kind, I.bits): Fact(kind, I) for kind in "CR" for I in _all_sets(n)})  # atom -> Fact
 
@@ -56,7 +57,11 @@ def check_fact_brute(world: DiscreteWorld, model: CandidateModel, fact: Fact) ->
 
     This is a second implementation of the defining expectations, written
     as plain dictionary loops so it shares no code with the metrics path.
+    A support above ``BRUTE_SUPPORT_CAP`` raises SupportTooLarge before
+    any loop runs.
     """
+    if world.support_size > BRUTE_SUPPORT_CAP:
+        raise SupportTooLarge(f"support {world.support_size} exceeds the brute-force cap {BRUTE_SUPPORT_CAP}")
     q = {}
     phi = {}
     for r in range(model.support_size):

@@ -77,6 +77,23 @@ def test_brute_agrees_with_metrics_on_random_triples():
     assert agree == total
 
 
+def test_brute_support_cap():
+    """Above BRUTE_SUPPORT_CAP the oracle refuses before it reads the model,
+    so before any of its loops."""
+    world = uniform_world((2,) * 11)
+    assert world.support_size == 2 * verify.BRUTE_SUPPORT_CAP
+    with pytest.raises(SupportTooLarge, match="support 2048 exceeds the brute-force cap 1024"):
+        check_fact_brute(world, None, Fact("C", IndexSet.of([1], 11)))
+
+
+def test_brute_support_cap_is_inclusive(world22, monkeypatch):
+    monkeypatch.setattr(verify, "BRUTE_SUPPORT_CAP", world22.support_size)
+    assert check_fact_brute(world22, CandidateModel.identity(world22), Fact("C", IndexSet.of([1], 2)))
+    world = uniform_world((2, 3))
+    with pytest.raises(SupportTooLarge):
+        check_fact_brute(world, CandidateModel.identity(world), Fact("C", IndexSet.of([1], 2)))
+
+
 # -- sweeps ------------------------------------------------------------------------------
 
 
