@@ -53,10 +53,9 @@ class IndexSet:
         bits = 0
         limit = n + (1 if nuisance else 0)
         for i in indices:
-            try:
-                i = operator.index(i)
-            except TypeError:
-                raise ArityMismatch(f"index {i!r} is not an integer") from None
+            if isinstance(i, bool) or not hasattr(type(i), "__index__"):
+                raise ArityMismatch(f"index {i!r} is not an integer")
+            i = operator.index(i)
             if not 1 <= i <= limit:
                 raise ArityMismatch(f"index {i} outside 1..{limit}")
             bits |= 1 << (i - 1)

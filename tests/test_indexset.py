@@ -28,7 +28,7 @@ def test_out_of_range_index_rejected():
         IndexSet(-1, 0)
 
 
-@pytest.mark.parametrize("index", [1.5, 1.0, "1", None])
+@pytest.mark.parametrize("index", [1.5, 1.0, "1", None, True])
 def test_non_integer_index_rejected(index):
     with pytest.raises(ArityMismatch, match=f"index {index!r} is not an integer"):
         IndexSet.of([index], 2)
