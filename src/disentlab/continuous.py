@@ -79,13 +79,18 @@ def _redraw(rng: np.random.Generator, out: np.ndarray, cols: set, disk: bool = T
     """Redraw the 0-based coordinates ``cols`` of the (m, 3) latents ``out``
     in place and return it: the angle first, then the disk point (radius and
     angle uniforms) or one coordinate on its chord.  With ``disk`` false the
-    same uniforms are drawn in the same order but the disk coordinates are
-    left unset, skipping the sqrt, cos and sin, for draws of the angle alone."""
+    angle is drawn as before, the disk coordinates are left unset, and the
+    generator is advanced past the uniforms the disk draw would take, for
+    draws of the angle alone.  Only ``EvaluationTarget.mc_parts`` passes
+    it, with fresh ``default_rng`` generators that ``metrics`` builds: PCG64
+    spends one 64-bit word per uniform, and its ``advance`` clears a
+    buffered 32-bit half word, which these generators never hold, so the
+    state is that of the full draw."""
     m = len(out)
     if 0 in cols:
         out[:, 0] = rng.uniform(0.0, TWO_PI, m)
     if not disk:
-        rng.random(m * len(cols & {1, 2}))
+        rng.bit_generator.advance(m * len(cols & {1, 2}))
     elif {1, 2} <= cols:
         radii = np.sqrt(rng.uniform(0.0, 1.0, m))
         theta = rng.uniform(0.0, TWO_PI, m)

@@ -127,7 +127,8 @@ class EvaluationTarget:
         ``measure(batch)`` gives the factors ``cols``, one row per factor.
         Discrete batches hold support rows, drawn through one guide table.  A
         rotation score that reads the angle alone (``phi`` and ``phi_inverse``
-        copy it) draws the same uniforms but skips the disk's trig."""
+        copy it) steps the generator past the disk's uniforms and skips its
+        trig, so its draws and generator states are those of the full draw."""
         m, cols = self.model, list(cols)
         if self.is_discrete:
             _, probs, measured, _ = self.exact_view()
@@ -497,7 +498,9 @@ def mc_match_check(
     threshold is the 0.99 quantile of 200 draws from the permutation null,
     a test at significance level 0.01.  The statistic depends only on cell
     counts, so a random permutation of the pooled records is drawn as the
-    split of the pooled counts it makes, exactly, in blocks of draws (see
+    split of the pooled counts it makes, exactly: fair coins per record,
+    then a uniform crossover from the side that holds too many, in blocks
+    of as many whole draws as fit in about 2^15 random words (see
     ``_null_blocks``).  Model and oracle are any disk-rotation worlds, the
     rotation candidate included; the test is symmetric in its samples.
     """
@@ -523,15 +526,17 @@ def mc_match_check(
 
 
 def _grid_cells(a: np.ndarray, b: np.ndarray, bins_per_dim: int):
-    """Cell ids of the rows of a and b on the pooled equal-mass grid, and the cell count."""
-    pooled = np.vstack([a, b])
-    ids = np.zeros(len(pooled), dtype=np.int64)
-    for column in pooled.T:
-        ids = ids * bins_per_dim + _equal_mass_bins(column, bins_per_dim)
-    return ids[:len(a)], ids[len(a):], bins_per_dim ** pooled.shape[1]
+    """Cell ids of the rows of a and b on the pooled equal-mass grid, and the
+    cell count.  Each pooled column is binned from a contiguous copy of its
+    two halves, so the comparison passes read memory in order."""
+    ids = np.zeros(len(a) + len(b), dtype=np.int64)
+    for j in range(a.shape[1]):
+        ids *= bins_per_dim
+        ids += _equal_mass_bins(np.concatenate([a[:, j], b[:, j]]), bins_per_dim)
+    return ids[:len(a)], ids[len(a):], bins_per_dim ** a.shape[1]
 
 
-_NULL_BLOCK_WORDS = 1 << 12  # random words per block of whole null draws: under about 0.5 MB of arrays
+_NULL_BLOCK_WORDS = 1 << 15  # random words per block of whole null draws: under about 2.5 MB of arrays
 
 
 def _null_blocks(rng, counts: np.ndarray, half: int, draws: int):
@@ -541,23 +546,38 @@ def _null_blocks(rng, counts: np.ndarray, half: int, draws: int):
     random bits, its last word masked) picks a uniform subset given its size
     K; |K - half| records drawn uniformly from the side that holds too many
     then cross over, so the counts are exactly multivariate hypergeometric.
-    The words come straight from the bit generator: ``mc_match_check``
-    builds ``rng`` with ``default_rng``, so it is PCG64, whose raw words are
-    those of ``rng.integers(2**64, dtype=np.uint64)``."""
+
+    A block holds as many whole draws as fit in ``_NULL_BLOCK_WORDS`` words
+    (at least one), and its coin words are read before its crossover picks.
+    The crossover numbers the records of the side that holds too many by one
+    prefix sum of the first-half counts per row (a row whose first half
+    holds too few reads ``cumsum(counts) - prefix``), offset by the row
+    times the pooled size so that all rows search one sorted array; each
+    pick's cell then loses or gains its record in one scatter.  The words
+    come straight from the bit generator: ``mc_match_check`` builds ``rng``
+    with ``default_rng``, so it is PCG64, whose raw words are those of
+    ``rng.integers(2**64, dtype=np.uint64)``."""
     words = -(-counts // 64)
     starts = np.cumsum(words) - words
     mask = np.full(words.sum(), ~np.uint64(0))
     mask[starts + words - 1] >>= (64 * words - counts).astype(np.uint64)
+    total, ends_of_counts = int(counts.sum()), np.cumsum(counts)
     step = max(1, _NULL_BLOCK_WORDS // len(mask))
     for done in range(0, draws, step):
-        bits = rng.bit_generator.random_raw(min(step, draws - done) * len(mask)).reshape(-1, len(mask)) & mask
+        bits = rng.bit_generator.random_raw(min(step, draws - done) * len(mask)).reshape(-1, len(mask))
+        bits &= mask
         pops = np.bitwise_count(bits)  # a segment sum costs per cell, so cells of one word skip it
         first = pops.astype(np.int64) if len(mask) == len(counts) else np.add.reduceat(pops, starts, 1, np.int64)
-        excess = first.sum(axis=1) - half
-        pool, over = np.where(excess[:, None] > 0, first, counts - first), np.abs(excess)
-        ends = np.cumsum(pool)
-        size = np.repeat(pool.sum(axis=1), over)
-        base = np.repeat(ends[len(counts) - 1::len(counts)], over) - size
+        kept = first.sum(axis=1)
+        excess = kept - half
+        low = excess < 0
+        ends = np.cumsum(first, axis=1)
+        np.subtract(ends_of_counts, ends, out=ends, where=low[:, None])
+        offset = total * np.arange(len(first))
+        ends += offset[:, None]
+        over = np.abs(excess)
+        size = np.repeat(np.where(low, total - kept, kept), over)
+        base = np.repeat(offset, over)
         # Sorting keeps each pick in its row's slots; a pick equal to another is
         # drawn again, a rule that only compares picks and so favours no record.
         picks, again = np.empty(len(size), dtype=np.int64), np.arange(len(size))
@@ -565,8 +585,9 @@ def _null_blocks(rng, counts: np.ndarray, half: int, draws: int):
             picks[again] = base[again] + rng.integers(size[again])
             picks.sort()
             again = np.flatnonzero(picks[1:] == picks[:-1]) + 1
-        moved = np.bincount(np.searchsorted(ends, picks, side="right"), minlength=pool.size)
-        yield first - np.sign(excess)[:, None] * moved.reshape(pool.shape)
+        cells = np.searchsorted(ends.reshape(-1), picks, side="right")
+        np.add.at(first.reshape(-1), cells, np.repeat(np.sign(-excess), over))  # picks of one cell add up
+        yield first
 
 
 def _split_stat(first: np.ndarray, counts: np.ndarray, half: int):

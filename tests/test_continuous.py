@@ -4,7 +4,7 @@ import pytest
 import dataclasses
 
 from disentlab import rotation_world
-from disentlab.continuous import TWO_PI, DiskRotationWorld
+from disentlab.continuous import TWO_PI, DiskRotationWorld, _redraw
 from disentlab.errors import WorldError
 
 
@@ -87,3 +87,17 @@ def test_candidate_is_the_oracle_world_with_a_rotated_generator():
     assert np.allclose(world.observe(z), z) and np.allclose(cand.observe(z), [[np.pi / 2, 0.0, 1.0]])
     with pytest.raises(TypeError):
         DiskRotationWorld(n=2)
+
+
+@pytest.mark.parametrize("k", [1, 5, 16384])
+@pytest.mark.parametrize("cols", [{0, 1, 2}, {1, 2}])
+def test_angle_only_redraw_leaves_the_generator_of_the_full_draw(k, cols):
+    """Without the disk the generator is advanced, not drawn from: the angle,
+    the generator state and the next draws are those of the full redraw."""
+    start = np.random.default_rng(9).random((k, 3))
+    ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+    angle_only = _redraw(ours, start.copy(), cols, disk=False)
+    full = _redraw(theirs, start.copy(), cols)
+    assert np.array_equal(angle_only[:, 0], full[:, 0])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert np.array_equal(ours.random(7), theirs.random(7))

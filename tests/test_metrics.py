@@ -31,7 +31,7 @@ from disentlab.learner import matched_perms
 from disentlab.verify import battery_specs, check_fact_brute, theorem_battery
 from disentlab.errors import ArityMismatch, DegenerateDenominator, MetricError, ZeroEntropyFactor
 from disentlab.supervision import sample_features
-from reference_match import permutation_null
+from reference_match import permutation_null, vstack_grid_cells
 from reference_mig import exact_rows, mc_rows, reference_gaps
 from reference_sampler import rotation_chunks
 
@@ -715,6 +715,31 @@ def test_match_null_quantiles_equal_permutation_oracle(spec):
     ref = permutation_null(np.random.default_rng(1), cells_a, cells_b, n_cells, draws)
     got, want = np.quantile(null, [0.5, 0.9, 0.99]), np.quantile(ref, [0.5, 0.9, 0.99])
     assert np.all(np.abs(got / want - 1) <= [0.05, 0.05, 0.10]), (got, want)
+
+
+@pytest.mark.parametrize("spec", ["label:1", "share:1", "label:2", "share:2"])
+def test_grid_cells_equal_the_stacked_grid_oracle(spec):
+    """Binning contiguous copies of each column gives the cell ids of the
+    stacked (2 samples, d) grid, on the rotation world at 20k samples."""
+    oracle, cand = rotation_world()
+    seq = np.random.SeedSequence(0).spawn(2)
+    a = sample_features(oracle, SupervisionSpec.parse(spec), np.random.default_rng(seq[0]), 20000)
+    b = sample_features(cand, SupervisionSpec.parse(spec), np.random.default_rng(seq[1]), 20000)
+    got, want = metrics._grid_cells(a, b, 4), vstack_grid_cells(a, b, 4)
+    assert got[2] == want[2] and np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("bins", [2, 4, 5])
+def test_grid_cells_equal_the_stacked_grid_oracle_on_ties(bins):
+    """Rounded features put many values on a quantile edge, and a constant
+    column puts every value on all of them; samples of unequal size too."""
+    rng = np.random.default_rng(bins)
+    a = np.column_stack([rng.normal(size=3000).round(1), np.full(3000, 0.5), rng.integers(0, 3, 3000)])
+    b = np.column_stack([rng.normal(size=2000).round(1), np.full(2000, 0.5), rng.integers(0, 3, 2000)])
+    got, want = metrics._grid_cells(a, b, bins), vstack_grid_cells(a, b, bins)
+    assert got[2] == want[2] == bins**3
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(np.unique(np.concatenate(got[:2]))) > bins
 
 
 def test_null_splits_follow_the_listed_pmf():

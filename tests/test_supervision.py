@@ -24,8 +24,10 @@ from disentlab.errors import (
     ArityMismatch,
     KindMismatch,
     SupervisionError,
+    SupportTooLarge,
     UnorderedFactorForRank,
 )
+from disentlab import supervision
 from disentlab.supervision import MATCH_PAIRING, RANK_PAIRING, RESTRICTED_LABELING, row_keys, sample_features
 from disentlab.verify import battery_specs, theorem_battery
 from reference_tables import GROUP_MASS_EDGE, TOLERANCE_EDGE, reference_match, reference_table
@@ -95,6 +97,32 @@ def test_rank_requires_ordered_factor(world22):
 def test_indices_validated_against_arity(world22):
     with pytest.raises(ArityMismatch):
         augmented_table(world22, spec("share-pairing", 3))
+
+
+def test_exact_table_support_cap(monkeypatch):
+    """Above the cap the table builder refuses before it groups a row or
+    allocates a table, for a world and for a model on it."""
+    world = uniform_world((2,) * 11)
+    assert world.support_size == 2 * supervision._TABLE_SUPPORT_CAP
+
+    def unreachable(*args):
+        raise AssertionError("a table was built above the cap")
+
+    monkeypatch.setattr(supervision, "row_keys", unreachable)
+    monkeypatch.setattr(supervision, "dense_table", unreachable)
+    model = CandidateModel.identity(world)
+    cases = ((world, spec("rank-pairing", 1)), (model, spec("share-pairing", 2)),
+             (world, spec("restricted-labeling", 3)))
+    for obj, s in cases:
+        with pytest.raises(SupportTooLarge, match="support 2048 exceeds the exact-table cap 1024"):
+            augmented_table(obj, s)
+
+
+def test_exact_table_support_cap_is_inclusive(world22, monkeypatch):
+    monkeypatch.setattr(supervision, "_TABLE_SUPPORT_CAP", world22.support_size)
+    assert augmented_table(world22, spec("share-pairing", 1)).table.shape == (4, 4)
+    with pytest.raises(SupportTooLarge):
+        augmented_table(uniform_world((2, 3)), spec("share-pairing", 1))
 
 
 def test_spec_string_round_trip():
@@ -344,9 +372,15 @@ HEADER = b'{"format": "disentlab-dataset"}\n'
         HEADER + b'{"x": 1} x\n',
         HEADER + b"\n",
         b"",
+        HEADER[:-2] + b', "count": 3}\n{"x": 1}\n{"x": 2}\n',
+        HEADER[:-2] + b', "count": 1}\n{"x": 1}\n{"x": 2}\n',
+        HEADER + b'{"x": 1}\n',
+        HEADER[:-2] + b', "count": true}\n{"x": 1}\n',
+        HEADER[:-2] + b', "count": 1.0}\n{"x": 1}\n',
     ],
     ids=["header-array", "header-not-json", "record-not-json", "not-utf8",
-         "records-only-valid-joined", "record-trailing-garbage", "record-empty", "empty-file"],
+         "records-only-valid-joined", "record-trailing-garbage", "record-empty", "empty-file",
+         "truncated", "extra-line", "count-missing", "count-bool", "count-float"],
 )
 def test_dataset_rejects_malformed_lines(tmp_path, data):
     path = tmp_path / "bad.jsonl"
